@@ -23,7 +23,6 @@ from .bwb import (
     parse_weight,
     serre_dual,
     structure_sheaf,
-    sym_power_decompose,
     tangent_bundle,
     twist,
     weyl_dim,
@@ -39,7 +38,6 @@ from .flop import (
     apply_psi,
     enumerate_spanning_class,
     phi_pullback,
-    serre_compatibility_check,
 )
 from .homalg import (
     ChaseInconsistencyError,
@@ -60,7 +58,6 @@ from .pbundle import (
     cohomology_X,
     euler_char,
     hom_dims,
-    pushforward,
 )
 from .verify import CheckResult, Status, run_all, run_check
 

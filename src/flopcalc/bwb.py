@@ -99,9 +99,6 @@ class HomogeneousBundle:
         ordered = tuple(sorted(self.summands, key=lambda w: (w.lam, w.t)))
         object.__setattr__(self, "summands", ordered)
 
-    def is_zero(self):
-        return not self.summands
-
     def rank(self):
         return sum(levi_rank(w) for w in self.summands)
 
@@ -137,12 +134,6 @@ class CohomologyTable:
 
     def is_zero(self):
         return not self.entries
-
-    def __add__(self, other):
-        dims = dict(self.entries)
-        for deg, dim in other.entries:
-            dims[deg] = dims.get(deg, 0) + dim
-        return CohomologyTable.from_dict(dims)
 
 
 EMPTY_TABLE = CohomologyTable(())
@@ -184,10 +175,11 @@ def bott_cohomology(w):
 
 def cohomology_sum(bundle):
     """Degree-wise sum of bott_cohomology over the summands."""
-    table = EMPTY_TABLE
+    dims = {}
     for w in bundle.summands:
-        table = table + bott_cohomology(w)
-    return table
+        for deg, dim in bott_cohomology(w).entries:
+            dims[deg] = dims.get(deg, 0) + dim
+    return CohomologyTable.from_dict(dims)
 
 
 def twist(w, m):
@@ -215,17 +207,6 @@ def normalize(w):
     return LeviWeight(w.n, tuple(a - c for a in w.lam), w.t - c)
 
 
-def sym_power_decompose(power, n):
-    """Sym^l of (O + Theta) on P^n, as the sum of Sym^a Theta for a <= l."""
-    if power < 0:
-        raise ValueError(f"symmetric power must be >= 0, got {power}")
-    parts = []
-    for a in range(power + 1):
-        lam = (a,) + (0,) * (n - 1) if n > 1 else (a,)
-        parts.append(LeviWeight(n, lam, -a))
-    return HomogeneousBundle(tuple(parts))
-
-
 def exterior_power_theta(p, n):
     """Wedge^p Theta = Wedge^p Q tensor O(p), as a LeviWeight."""
     if not 0 <= p <= n:
@@ -250,11 +231,11 @@ def tensor_with_sym(w, a):
     results = []
 
     def grow(i, prefix, remaining):
-        if i == n:
-            if remaining == 0:
-                results.append(LeviWeight(n, tuple(prefix), w.t - a))
+        if remaining == 0:
+            results.append(LeviWeight(n, tuple(prefix) + lam[i:], w.t - a))
             return
-        low = lam[i]
+        # rows below i absorb at most lam[i] - lam[-1] boxes in total
+        low = max(lam[i], lam[-1] + remaining)
         high = lam[i - 1] if i else lam[0] + remaining
         high = min(high, lam[i] + remaining)
         for mu_i in range(low, high + 1):

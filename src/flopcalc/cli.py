@@ -274,6 +274,8 @@ def _cmd_koszul(args, config, out):
 
 def _cmd_ext(args, config, out):
     if args.what == "oy-oy":
+        if config.trace:
+            raise UsageError("--trace only applies to 'ext ideal-self'")
         table = homalg.ext_table_OY(args.n)
         if config.output_format == "json":
             emit_json(table_payload(args.n, table), out)
@@ -342,9 +344,15 @@ def _jsonable(value):
 
 def _cmd_verify(args, config, out):
     if args.check == "all":
+        if args.n is not None:
+            raise UsageError("--n does not apply to 'verify all'; use --max-n")
         results = verify.run_all(config.max_n)
     elif args.check in verify.ALL_CHECK_IDS:
+        if args.max_n is not None:
+            raise UsageError(f"--max-n only applies to 'verify all', not to {args.check}")
         n = args.n if args.n is not None else 2
+        if args.check in verify.PINNED_CHECKS and n != 2:
+            raise UsageError(f"{args.check} is pinned to n = 2, got --n {n}")
         results = [verify.run_check(args.check, n)]
     else:
         raise UsageError(

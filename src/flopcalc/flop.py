@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .pbundle import ModelVariety, Side, XLineBundle, canonical_class
+from .pbundle import ModelVariety, Side, XLineBundle
 
 
 class FunctorRangeError(ValueError):
@@ -142,24 +142,3 @@ def enumerate_spanning_class(n, variant):
         XLineBundle(variety, j, k) for j in range(-n, 1) for k in k_range
     ]
 
-
-def serre_compatibility_check(n, pic_map=None):
-    """Does the lattice transport commute with twisting by the canonical class?
-
-    True iff the transport matrix fixes (-n-1, 0) and, for every class c in
-    the second spanning rectangle, transporting c + omega agrees with the
-    psi image of c shifted by omega on the flopped side.  A perturbed matrix
-    may be injected to exercise the failure path.
-    """
-    pic = pic_map if pic_map is not None else phi_pullback(n)
-    omega = (-n - 1, 0)
-    if pic.apply(*omega) != omega:
-        return False
-    target = ModelVariety(n, Side.X_PLUS)
-    omega_plus = canonical_class(target)
-    for c in enumerate_spanning_class(n, SpanningClass.OMEGA_PRIME):
-        transported = pic.apply(c.j + omega[0], c.k + omega[1])
-        expected = apply_psi(c) + omega_plus
-        if transported != expected.coords():
-            return False
-    return True

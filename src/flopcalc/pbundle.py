@@ -30,9 +30,8 @@ from .bwb import (
     LeviWeight,
     cohomology_sum,
     dual,
-    sym_power_decompose,
+    line_bundle,
     tensor_with_sym,
-    twist,
 )
 
 
@@ -86,51 +85,9 @@ def canonical_class(variety):
     return XLineBundle(variety, -variety.n - 1, 0)
 
 
-@dataclass(frozen=True)
-class Direct:
-    """Pushforward is the listed bundle on the base, twisted by O(m)."""
-
-    bundle: HomogeneousBundle
-    m: int
-
-
-@dataclass(frozen=True)
-class Zero:
-    pass
-
-
-@dataclass(frozen=True)
-class Dual:
-    """Cohomology is that of ``dual_class`` reflected at degree ``shift``."""
-
-    dual_class: XLineBundle
-    shift: int
-
-
-def pushforward(lb):
-    """Classify O_X(j) (x) pi^*O(k) by how its cohomology reaches the base."""
-    n = lb.variety.n
-    if lb.j >= 0:
-        return Direct(sym_power_decompose(lb.j, n), lb.k)
-    if lb.j >= -n:
-        return Zero()
-    reflected = canonical_class(lb.variety) - lb
-    return Dual(reflected, 2 * n)
-
-
 @lru_cache(maxsize=None)
 def _cohomology_coords(n, j, k):
-    variety = ModelVariety(n)
-    result = pushforward(XLineBundle(variety, j, k))
-    if isinstance(result, Zero):
-        return EMPTY_TABLE
-    if isinstance(result, Direct):
-        twisted = HomogeneousBundle(
-            tuple(twist(w, result.m) for w in result.bundle.summands)
-        )
-        return cohomology_sum(twisted)
-    inner = _cohomology_coords(n, result.dual_class.j, result.dual_class.k)
-    return inner.reflect(result.shift)
+    return cohomology_with_pullback_twist(ModelVariety(n), j, line_bundle(n, k))
 
 
 def cohomology_X(lb):
@@ -141,22 +98,28 @@ def cohomology_X(lb):
 def cohomology_with_pullback_twist(variety, j, pullback):
     """h^i(X, O_X(j) (x) pi^* F) for a homogeneous bundle F on the base.
 
-    Same three branches as ``pushforward``; the j >= 0 case tensors each
-    Sym^a Theta against F by the Pieri rule.
+    Three branches, by where j sits relative to the fibre dimension n:
+
+      * j >= 0        : pi_* O_X(j) = Sym^j(O + Theta), the sum of Sym^a Theta
+                        for a <= j; each is tensored against F by the Pieri
+                        rule and summed on the base;
+      * -n <= j <= -1 : the fibres carry no cohomology, everything vanishes;
+      * j <= -n-1     : Serre duality against omega_X = O_X(-n-1) turns the
+                        class into O_X(-n-1-j) (x) pi^* F-dual, computed by
+                        the first branch and reflected at degree 2n.
     """
     if isinstance(pullback, LeviWeight):
         pullback = HomogeneousBundle((pullback,))
     n = variety.n
-    if pullback.is_zero():
-        return EMPTY_TABLE
     if -n <= j <= -1:
         return EMPTY_TABLE
     if j >= 0:
-        table = EMPTY_TABLE
-        for w in pullback.summands:
-            for a in range(j + 1):
-                table = table + cohomology_sum(tensor_with_sym(w, a))
-        return table
+        return cohomology_sum(HomogeneousBundle(tuple(
+            s
+            for w in pullback.summands
+            for a in range(j + 1)
+            for s in tensor_with_sym(w, a).summands
+        )))
     flipped = HomogeneousBundle(tuple(dual(w) for w in pullback.summands))
     return cohomology_with_pullback_twist(variety, -n - 1 - j, flipped).reflect(2 * n)
 

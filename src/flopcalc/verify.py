@@ -48,10 +48,11 @@ def verify_lemma_1_3(n, pic_map=None):
     evidence = {"matrix": [list(r) for r in pic.rows]}
     if not pic.is_involution():
         return _fail("lemma-1-3", n, {"matrix_squared": pic.compose(pic).rows}, **evidence)
-    omega = (-n - 1, 0)
+    variety = ModelVariety(n)
+    omega = pbundle.canonical_class(variety).coords()
     if pic.apply(*omega) != omega:
         return _fail("lemma-1-3", n, {"canonical_image": pic.apply(*omega)}, **evidence)
-    cross = XLineBundle(ModelVariety(n), 1, -1)
+    cross = XLineBundle(variety, 1, -1)
     h0 = pbundle.cohomology_X(cross).get(0)
     evidence["h0_cross_class"] = h0
     if h0 != n + 1:
@@ -193,12 +194,21 @@ def verify_prop_3_5(n):
 
 
 def verify_serre_3_6(n, pic_map=None):
-    """Lattice-level compatibility of the transport with the Serre twist."""
-    ok = flop.serre_compatibility_check(n, pic_map=pic_map)
+    """Lattice-level compatibility of the transport with the Serre twist.
+
+    The transport must fix the canonical class omega and, for every class c
+    in the second spanning rectangle, send c + omega to psi(c) + omega+.
+    """
     pic = pic_map if pic_map is not None else flop.phi_pullback(n)
-    evidence = {"matrix": [list(r) for r in pic.rows], "canonical_class": (-n - 1, 0)}
-    if not ok:
-        return _fail("serre-3-6", n, {"matrix": [list(r) for r in pic.rows]}, **evidence)
+    omega = pbundle.canonical_class(ModelVariety(n))
+    omega_plus = pbundle.canonical_class(ModelVariety(n, Side.X_PLUS))
+    evidence = {"matrix": [list(r) for r in pic.rows], "canonical_class": omega.coords()}
+    compatible = pic.apply(*omega.coords()) == omega.coords() and all(
+        pic.apply(*(c + omega).coords()) == (flop.apply_psi(c) + omega_plus).coords()
+        for c in flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
+    )
+    if not compatible:
+        return _fail("serre-3-6", n, {"matrix": evidence["matrix"]}, **evidence)
     return CheckResult("serre-3-6", n, Status.PASS, evidence)
 
 

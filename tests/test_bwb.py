@@ -20,7 +20,6 @@ from flopcalc.bwb import (
     parse_weight,
     serre_dual,
     structure_sheaf,
-    sym_power_decompose,
     tangent_bundle,
     tensor_with_sym,
     twist,
@@ -135,11 +134,15 @@ class TestEulerSequence:
             assert chi_theta == (n + 1) * chi_m1 - chi_m
 
 
+def sym_of_extension(l, n):
+    """Sym^l(O + Theta) as the Pieri summands of Sym^a Theta (x) O, a <= l."""
+    return [s for a in range(l + 1) for s in tensor_with_sym(structure_sheaf(n), a).summands]
+
+
 class TestSymPowers:
     def test_anchors(self):
-        assert sym_power_decompose(0, 3).summands == (structure_sheaf(3),)
-        got = sym_power_decompose(2, 2)
-        assert set(got.summands) == {
+        assert sym_of_extension(0, 3) == [structure_sheaf(3)]
+        assert set(sym_of_extension(2, 2)) == {
             structure_sheaf(2),
             LeviWeight(2, (1, 0), -1),
             LeviWeight(2, (2, 0), -2),
@@ -148,11 +151,11 @@ class TestSymPowers:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("l", range(0, 6))
     def test_total_rank(self, n, l):
-        assert sym_power_decompose(l, n).rank() == comb(l + n, n)
+        assert sum(levi_rank(w) for w in sym_of_extension(l, n)) == comb(l + n, n)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            sym_power_decompose(-1, 2)
+            tensor_with_sym(structure_sheaf(2), -1)
 
 
 class TestExteriorPowers:
@@ -186,8 +189,8 @@ class TestCohomologySum:
         assert cohomology_sum(two).dims() == {0: 2}
 
     def test_sym_of_extension_twisted(self):
-        # Sym^1(O + Theta)(-1) on P^2 has n + 1 = 3 sections
-        parts = tuple(twist(w, -1) for w in sym_power_decompose(1, 2).summands)
+        # Sym^1(O + Theta)(-1) = O(-1) + Theta(-1) on P^2 has n + 1 = 3 sections
+        parts = (LeviWeight(2, (0, 0), 1), LeviWeight(2, (1, 0), 0))
         assert cohomology_sum(HomogeneousBundle(parts)).dims() == {0: 3}
 
     def test_mixed_ambients_rejected(self):
@@ -202,6 +205,30 @@ class TestPieri:
             for a in range(4):
                 expect = levi_rank(w) * comb(a + n - 1, a)
                 assert tensor_with_sym(w, a).rank() == expect
+
+    def test_matches_brute_force_horizontal_strips(self):
+        # mu interlaces lam (lam_i <= mu_i <= lam_{i-1}) and has a more boxes
+        cases = 0
+        for n in range(1, 6):
+            for lam in product(range(2, -3, -1), repeat=n):
+                if any(x < y for x, y in zip(lam, lam[1:])):
+                    continue
+                w = LeviWeight(n, lam, 3)
+                for a in range(7):
+                    ranges = [
+                        range(lam[i], (lam[i - 1] if i else lam[0] + a) + 1)
+                        for i in range(n)
+                    ]
+                    expect = {
+                        LeviWeight(n, mu, 3 - a)
+                        for mu in product(*ranges)
+                        if sum(mu) - sum(lam) == a
+                    }
+                    got = tensor_with_sym(w, a).summands
+                    assert len(got) == len(set(got)), (lam, a)
+                    assert set(got) == expect, (lam, a)
+                    cases += 1
+        assert cases == 1757
 
     def test_end_of_tangent_on_p2(self):
         # Theta (x) Omega^1 has a one-dimensional space of global endomorphisms

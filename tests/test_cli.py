@@ -133,6 +133,12 @@ class TestExt:
         assert code == 0
         assert "[ext-ideal-self-n2] Ext^2(I,I): alternating-sum -> 1" in out
 
+    def test_oy_oy_rejects_trace(self, capsys):
+        code, out, err = run(capsys, "ext", "oy-oy", "--n", "3", "--trace")
+        assert code == 2
+        assert out == ""
+        assert "--trace" in err and err.count("\n") == 1
+
     def test_ideal_self_needs_n2(self, capsys):
         code, _, err = run(capsys, "ext", "ideal-self", "--n", "3")
         assert code == 2
@@ -162,6 +168,29 @@ class TestVerifyCommand:
         text = path.read_text()
         assert text.startswith("# Verification report")
         assert "## prop-3-5 (n=2): PASS" in text
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["lemma-2-1", "--n", "5"], "--n"),
+            (["cor-2-2", "--n", "3"], "--n"),
+            (["all", "--n", "5"], "--n"),
+            (["prop-3-5", "--max-n", "7"], "--max-n"),
+        ],
+        ids=["lemma-2-1-n5", "cor-2-2-n3", "all-n5", "prop-3-5-max-n7"],
+    )
+    def test_inapplicable_flag_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err and err.count("\n") == 1
+
+    def test_pinned_check_accepts_its_own_n(self, capsys, tmp_path):
+        cfg = tmp_path / "flopcalc.cfg"
+        cfg.write_text("max_n = 5\n")
+        code, out, _ = run(capsys, "verify", "lemma-2-1", "--n", "2", "--config", str(cfg))
+        assert code == 0
+        assert out.startswith("lemma-2-1 n=2: PASS")
 
     def test_unknown_check(self, capsys):
         code, _, err = run(capsys, "verify", "lemma-7-7")

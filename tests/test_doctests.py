@@ -4,8 +4,8 @@ from flopcalc import bwb, homalg
 
 
 def test_bwb_docstrings():
-    failures, tried = doctest.testmod(bwb).failed, doctest.testmod(bwb).attempted
-    assert tried > 0 and failures == 0
+    result = doctest.testmod(bwb)
+    assert result.attempted > 0 and result.failed == 0
 
 
 def test_homalg_docstrings():

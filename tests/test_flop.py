@@ -11,9 +11,9 @@ from flopcalc.flop import (
     apply_psi,
     enumerate_spanning_class,
     phi_pullback,
-    serre_compatibility_check,
 )
 from flopcalc.pbundle import ModelVariety, Side, XLineBundle, hom_dims
+from flopcalc.verify import Status, verify_serre_3_6
 
 
 IDENTITY = PicMap(((1, 0), (0, 1)))
@@ -139,12 +139,13 @@ class TestSpanningClasses:
 
 
 class TestSerreCompatibility:
+    # the lattice-level check now lives in verify_serre_3_6
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_holds_for_the_flop_transport(self, n):
-        assert serre_compatibility_check(n)
+        assert verify_serre_3_6(n).status is Status.PASS
 
     def test_perturbed_map_fails(self):
-        assert not serre_compatibility_check(2, pic_map=SHEAR)
+        assert verify_serre_3_6(2, pic_map=SHEAR).status is Status.FAIL
 
 
 class TestHomPreservation:

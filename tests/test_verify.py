@@ -75,13 +75,17 @@ class TestIndividualSuites:
         assert result.status is Status.PASS
         assert result.evidence["pairs"] == (n + 1) ** 4
 
-    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_serre_3_6(self, n):
-        assert verify_serre_3_6(n).status is Status.PASS
+        result = verify_serre_3_6(n)
+        assert result.status is Status.PASS
+        assert result.evidence["canonical_class"] == (-n - 1, 0)
 
     def test_serre_3_6_negative_control(self):
+        # SHEAR fixes the canonical class, so only the psi comparison catches it
         result = verify_serre_3_6(2, pic_map=SHEAR)
         assert result.status is Status.FAIL
+        assert result.evidence["counterexample"] == {"matrix": [[1, 1], [0, 1]]}
 
 
 class TestRunner:
