@@ -27,7 +27,6 @@ safe to use from concurrent code without locking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -142,15 +141,23 @@ EMPTY_TABLE = CohomologyTable(())
 def weyl_dim(mu):
     """Dimension of the GL(len(mu)) representation with highest weight mu.
 
-    The product of (mu_i - mu_j + j - i)/(j - i) over i < j; evaluated as an
-    exact rational that must reduce to an integer.
+    The product of (mu_i - mu_j + j - i)/(j - i) over i < j, taken as
+    integer products, one exact division.  A non-dominant mu gets the same
+    product, which may then be zero or negative.
+
+    >>> weyl_dim((1, 0, -1))   # adjoint representation of GL(3)
+    8
+    >>> weyl_dim((0, 2))       # not dominant: -1
+    -1
     """
-    acc = Fraction(1)
+    num = den = 1
     for i, j in combinations(range(len(mu)), 2):
-        acc *= Fraction(mu[i] - mu[j] + j - i, j - i)
-    if acc.denominator != 1:
-        raise ArithmeticError(f"Weyl dimension of {mu} is not integral: {acc}")
-    return int(acc)
+        num *= mu[i] - mu[j] + j - i
+        den *= j - i
+    dim, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"Weyl dimension of {mu} is not integral: {num}/{den}")
+    return dim
 
 
 def levi_rank(w):

@@ -76,6 +76,8 @@ def build_config(args):
     overrides = load_config_file(path) if path else {}
     if getattr(args, "max_n", None) is not None:
         overrides["max_n"] = args.max_n
+    if getattr(args, "json", False) and getattr(args, "markdown", False):
+        raise UsageError("--json and --markdown cannot be combined; pick one")
     if getattr(args, "json", False):
         overrides["output_format"] = "json"
     if getattr(args, "markdown", False):

@@ -1,8 +1,9 @@
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flopcalc.bwb import (
@@ -96,6 +97,21 @@ class TestBottCohomology:
     def test_degree_bounded_by_dimension(self):
         for w in small_weights(2, 4):
             assert bott_cohomology(w).max_degree() <= w.n
+
+
+class TestWeylDim:
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=9), st.booleans())
+    @example([0, 1], False)   # a zero factor
+    @example([0, 2], False)   # one negative factor
+    @settings(max_examples=400)
+    def test_matches_rational_product(self, mu, dominant):
+        if dominant:
+            mu = sorted(mu, reverse=True)
+        expected = Fraction(1)
+        for i, j in combinations(range(len(mu)), 2):
+            expected *= Fraction(mu[i] - mu[j] + j - i, j - i)
+        assert expected.denominator == 1
+        assert weyl_dim(tuple(mu)) == expected
 
 
 class TestSerreDuality:

@@ -185,6 +185,12 @@ class TestVerifyCommand:
         assert out == ""
         assert flag in err and err.count("\n") == 1
 
+    def test_json_with_markdown_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "lemma-1-3", "--json", "--markdown")
+        assert code == 2
+        assert out == ""
+        assert "--json" in err and "--markdown" in err and err.count("\n") == 1
+
     def test_pinned_check_accepts_its_own_n(self, capsys, tmp_path):
         cfg = tmp_path / "flopcalc.cfg"
         cfg.write_text("max_n = 5\n")

@@ -1,6 +1,8 @@
 import pytest
 
-from flopcalc.flop import PicMap
+from flopcalc import flop, pbundle
+from flopcalc.flop import PicMap, apply_psi
+from flopcalc.pbundle import XLineBundle
 from flopcalc.verify import (
     ALL_CHECK_IDS,
     CheckResult,
@@ -19,6 +21,32 @@ from flopcalc.verify import (
 )
 
 SHEAR = PicMap(((1, 1), (0, 1)))
+
+
+def first_failing_pair(n, psi):
+    """Brute force: the first pair, in spanning-class order, whose Hom tables
+    psi does not preserve, as prop-3-5 reports it; None if there is none."""
+    classes = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
+    for a in classes:
+        for b in classes:
+            before = pbundle.cohomology_X(b - a)
+            after = pbundle.cohomology_X(psi(b) - psi(a))
+            if before != after:
+                return {
+                    "a": a.coords(), "b": b.coords(),
+                    "before": before.dims(), "after": after.dims(),
+                }
+    return None
+
+
+def moved_psi(moved, offset):
+    """The true psi, except that the image of the class ``moved`` is shifted."""
+    def psi(lb):
+        image = apply_psi(lb)
+        if lb.coords() != moved:
+            return image
+        return XLineBundle(image.variety, image.j + offset[0], image.k + offset[1])
+    return psi
 
 
 class TestIndividualSuites:
@@ -74,6 +102,57 @@ class TestIndividualSuites:
         result = verify_prop_3_5(n)
         assert result.status is Status.PASS
         assert result.evidence["pairs"] == (n + 1) ** 4
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_prop_3_5_negative_control_affine(self, monkeypatch, n):
+        def shear(lb):  # (j, k) -> (j + k, k): affine, but not psi
+            return XLineBundle(apply_psi(lb).variety, lb.j + lb.k, lb.k)
+
+        expected = first_failing_pair(n, shear)
+        monkeypatch.setattr(flop, "apply_psi", shear)
+        result = verify_prop_3_5(n)
+        assert result.status is Status.FAIL
+        assert result.evidence["counterexample"] == expected
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_prop_3_5_negative_control_one_class_moved(self, monkeypatch, n):
+        classes = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
+        corner = apply_psi(classes[0])
+        for c in classes[1:]:
+            dk = c.k + n
+            image = apply_psi(c)
+            offsets = {
+                (0, 1),
+                # sends the difference (dj, dk) from the corner class to itself, not
+                # to (dj + dk, -dk), which has the same table: so Hom from the corner
+                # is kept and the first failing pair repeats a difference b - a
+                (-dk, 2 * dk),
+                # moves c onto the corner's image: the first failing pair repeats
+                # the difference psi(b) - psi(a) of the pair (corner, corner)
+                (corner.j - image.j, corner.k - image.k),
+            } - {(0, 0)}
+            for offset in sorted(offsets):
+                psi = moved_psi(c.coords(), offset)
+                expected = first_failing_pair(n, psi)
+                monkeypatch.setattr(flop, "apply_psi", psi)
+                result = verify_prop_3_5(n)
+                assert result.status is Status.FAIL
+                assert result.evidence["counterexample"] == expected
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_prop_3_5_compares_each_difference_once(self, monkeypatch, n):
+        calls = []
+        hom_dims = pbundle.hom_dims
+
+        def counting(a, b):
+            calls.append((a, b))
+            return hom_dims(a, b)
+
+        monkeypatch.setattr(pbundle, "hom_dims", counting)
+        result = verify_prop_3_5(n)
+        assert result.status is Status.PASS
+        assert result.evidence["pairs"] == (n + 1) ** 4
+        assert 0 < len(calls) <= 2 * (2 * n + 1) ** 2
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_serre_3_6(self, n):
