@@ -275,14 +275,24 @@ class TestOutputStability:
             json.loads(out)
 
 
-def test_module_entry_point():
+def run_module(*argv, timeout=None):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "flopcalc", "bott", "--n", "2", "--weight", "1,0|-1",
-         "--json"],
-        capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "flopcalc", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_module_entry_point():
+    proc = run_module("bott", "--n", "2", "--weight", "1,0|-1", "--json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"n": 2, "dims": {"0": 8}}
+
+
+def test_huge_twist_finishes():
+    proc = run_module("cohomology", "--n", "3", "--j", "1000000000", "--k", "-1000000000",
+                      "--json", timeout=10)
+    assert proc.returncode == 0
+    assert sorted(json.loads(proc.stdout)["dims"]) == ["0", "2", "3"]

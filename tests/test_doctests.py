@@ -1,6 +1,6 @@
 import doctest
 
-from flopcalc import bwb, homalg
+from flopcalc import bwb, homalg, pbundle
 
 
 def test_bwb_docstrings():
@@ -10,4 +10,9 @@ def test_bwb_docstrings():
 
 def test_homalg_docstrings():
     result = doctest.testmod(homalg)
+    assert result.attempted > 0 and result.failed == 0
+
+
+def test_pbundle_docstrings():
+    result = doctest.testmod(pbundle)
     assert result.attempted > 0 and result.failed == 0

@@ -1,8 +1,24 @@
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flopcalc.bwb import form_bundle, structure_sheaf
+from flopcalc.bwb import (
+    EMPTY_TABLE,
+    CohomologyTable,
+    HomogeneousBundle,
+    LeviWeight,
+    bott_cohomology,
+    cohomology_sum,
+    dual,
+    exterior_power_theta,
+    form_bundle,
+    line_bundle,
+    structure_sheaf,
+    tangent_bundle,
+    tensor_with_sym,
+)
 from flopcalc.pbundle import (
     ModelVariety,
     Side,
@@ -162,3 +178,98 @@ class TestPullbackTwists:
     def test_structure_twist_consistency(self, v2):
         table = cohomology_with_pullback_twist(v2, 0, structure_sheaf(2))
         assert table.dims() == {0: 1}
+
+
+# The per-a loop that the closed form replaced, kept as the reference.
+
+
+def loop_tables(pullback, j_max):
+    """h^*(X, O_X(j) (x) pi^*F) for j = 0..j_max, one Pieri step per a."""
+    dims, tables = {}, []
+    for a in range(j_max + 1):
+        for w in pullback.summands:
+            for deg, dim in cohomology_sum(tensor_with_sym(w, a)).entries:
+                dims[deg] = dims.get(deg, 0) + dim
+        tables.append(CohomologyTable.from_dict(dims))
+    return tables
+
+
+def loop_sweep(n, pullback, j_max):
+    """The reference for every j in [-j_max, j_max], in all three branches."""
+    flipped = HomogeneousBundle(tuple(dual(w) for w in pullback.summands))
+    ahead, behind = loop_tables(pullback, j_max), loop_tables(flipped, j_max)
+    sweep = {}
+    for j in range(-j_max, j_max + 1):
+        if j >= 0:
+            sweep[j] = ahead[j]
+        elif j >= -n:
+            sweep[j] = EMPTY_TABLE
+        else:
+            sweep[j] = behind[-n - 1 - j].reflect(2 * n)
+    return sweep
+
+
+class TestClosedFormMatchesLoop:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_line_bundles(self, n):
+        # every third k keeps the sweep to a few seconds and still meets
+        # both parities of t - n, which decide whether the first row is met
+        v = ModelVariety(n)
+        for k in range(-60, 61, 3):
+            pullback = HomogeneousBundle((line_bundle(n, k),))
+            for j, expect in loop_sweep(n, pullback, 60).items():
+                assert cohomology_with_pullback_twist(v, j, pullback) == expect, (n, j, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_named_bundles(self, n):
+        v = ModelVariety(n)
+        bundles = [form_bundle(p, n) for p in range(n + 1)]
+        bundles += [exterior_power_theta(p, n) for p in range(n + 1)]
+        bundles.append(tangent_bundle(n))
+        for w in bundles:
+            pullback = HomogeneousBundle((w,))
+            for j, expect in loop_sweep(n, pullback, 40).items():
+                assert cohomology_with_pullback_twist(v, j, w) == expect, (w, j)
+
+    @given(
+        st.integers(2, 5).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+            st.integers(-40, 40),
+        )),
+        st.integers(-90, 90),
+    )
+    # first-row ranges with runs longer than 2n on both sides, both branches
+    @example((3, [2, 0, 0], 40), 60)
+    @example((2, [5, -5], 33), -88)
+    @settings(max_examples=60, deadline=None)
+    def test_dominant_weights(self, weight, j):
+        n, entries, t = weight
+        w = LeviWeight(n, tuple(sorted(entries, reverse=True)), t)
+        expect = loop_sweep(n, HomogeneousBundle((w,)), abs(j))[j]
+        assert cohomology_with_pullback_twist(ModelVariety(n), j, w) == expect
+
+
+class TestHugeTwists:
+    # A line bundle has one Pieri summand per a.  For lam = 0 the lower-row
+    # range holds n - 3 values of a and the first-row range none, so at
+    # n = 3 only the at most three runs are evaluated, at no more than 2n
+    # values each: one call adds at most 6n Bott weights.
+    @pytest.mark.parametrize("j", [10**9, 10**100])
+    @pytest.mark.parametrize("k", [0, 7, -10**9])
+    def test_step_is_one_pieri_term(self, j, k):
+        n = 3
+        v = ModelVariety(n)
+        lb = line_bundle(n, k)
+        tables = []
+        for m in (j, j - 1):
+            before = bott_cohomology.cache_info().currsize
+            tables.append(cohomology_with_pullback_twist(v, m, lb))
+            assert bott_cohomology.cache_info().currsize - before <= 6 * n
+        step = cohomology_sum(tensor_with_sym(lb, j))
+        top, below = tables
+        for deg in range(2 * n + 1):
+            assert top.get(deg) - below.get(deg) == step.get(deg), deg
+        assert not top.is_zero()
+        serre = cohomology_with_pullback_twist(v, -n - 1 - j, line_bundle(n, -k))
+        assert serre == top.reflect(2 * n)
