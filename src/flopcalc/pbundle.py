@@ -41,10 +41,13 @@ t - a, or nowhere when t - a equals one of them.
 
 The two ranges cut 0..j into at most three runs, and each also cuts when no
 a fits in it.  On a run the summands that carry cohomology all sit in one
-degree d, which is then (-1)^d chi(a).  A run longer than 2n is summed from
-its first 2n values by Newton forward differences, in integers.  A class
-thus costs O(n + lam_0 - lam_{n-1}) Pieri decompositions per summand of the
-twisting bundle, however large j and t (and so k) are.
+degree d, which is then (-1)^d chi(a).  A run of more than 2n + 1 values is
+summed from its first 2n values by Newton forward differences, in integers.
+A shorter run, where the 2n sample tables would cost more than the values
+they save, is evaluated at every a, together with the critical ranges in one
+cohomology_sum call; so is every class with j <= 2n.  A class thus costs
+O(n + lam_0 - lam_{n-1}) Pieri decompositions per summand of the twisting
+bundle, however large j and t (and so k) are.
 
 The flopped side carries an isomorphic bundle structure, so tables do not
 depend on the ``side`` tag; it exists to keep functor domains honest.  The
@@ -67,7 +70,7 @@ from .bwb import (
     HomogeneousBundle,
     LeviWeight,
     bott_cohomology,
-    cohomology_sum,  # noqa: F401  perfbench's tracer test looks it up on this module
+    cohomology_sum,
     dual,
     line_bundle,
     tensor_with_sym,
@@ -161,19 +164,22 @@ def cohomology_with_pullback_twist(variety, j, pullback):
     if -n <= j <= -1:
         return EMPTY_TABLE
     if j >= 0:
-        dims = {}
+        direct, dims = [], {}
         for w in pullback.summands:
-            _add_sym_sum(w, j, dims)
+            # from 2n + 2 values on, the closed form's 2n sample tables cost
+            # less than evaluating every a; a shorter j has no such run
+            pieces = _pieces(w, j) if j > 2 * n else ((0, j, False),)
+            for first, last, run in pieces:
+                if run and last - first > 2 * n:
+                    _add_run(w, first, last, dims)
+                else:
+                    direct += [s for a in range(first, last + 1)
+                               for s in tensor_with_sym(w, a).summands]
+        for deg, dim in cohomology_sum(HomogeneousBundle(tuple(direct))).entries:
+            dims[deg] = dims.get(deg, 0) + dim
         return CohomologyTable.from_dict(dims)
     flipped = HomogeneousBundle(tuple(dual(w) for w in pullback.summands))
     return cohomology_with_pullback_twist(variety, -n - 1 - j, flipped).reflect(2 * n)
-
-
-def _add_sym_terms(w, a, dims):
-    """Add h^*(Sym^a Theta (x) w) into dims, one Bott table per Pieri summand."""
-    for s in tensor_with_sym(w, a).summands:
-        for deg, dim in bott_cohomology(s).entries:
-            dims[deg] = dims.get(deg, 0) + dim
 
 
 def _critical_ranges(w):
@@ -189,17 +195,16 @@ def _critical_ranges(w):
     ))
 
 
-def _add_sym_sum(w, j, dims):
-    """Add the sum over a = 0..j of h^*(Sym^a Theta (x) w) into dims."""
+def _pieces(w, j):
+    """Cut a = 0..j into (first, last, is_run): runs and critical ranges."""
     start = 0
     for lo, hi in _critical_ranges(w):
         lo = min(max(lo, start), j + 1)
         hi = min(max(hi, lo), j + 1)
-        _add_run(w, start, lo - 1, dims)
-        for a in range(lo, hi):
-            _add_sym_terms(w, a, dims)
+        yield start, lo - 1, True
+        yield lo, hi - 1, False
         start = hi
-    _add_run(w, start, j, dims)
+    yield start, j, True
 
 
 def _add_run(w, first, last, dims):
@@ -209,19 +214,13 @@ def _add_run(w, first, last, dims):
     sum g(a) = sum over i < 2n of Delta^i g(first) * C(last - first + 1, i + 1).
     """
     points = 2 * w.n
-    length = last - first + 1
-    if length <= points:
-        for a in range(first, last + 1):
-            _add_sym_terms(w, a, dims)
-        return
-    samples = [{} for _ in range(points)]
-    for a, sample in zip(range(first, first + points), samples):
-        _add_sym_terms(w, a, sample)
+    samples = [cohomology_sum(tensor_with_sym(w, a)).dims()
+               for a in range(first, first + points)]
     for deg in set().union(*samples):
         diffs = [sample.get(deg, 0) for sample in samples]
         total = 0
         for i in range(points):
-            total += diffs[0] * comb(length, i + 1)
+            total += diffs[0] * comb(last - first + 1, i + 1)
             diffs = [y - x for x, y in zip(diffs, diffs[1:])]
         dims[deg] = dims.get(deg, 0) + total
 

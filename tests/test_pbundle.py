@@ -212,12 +212,22 @@ def loop_sweep(n, pullback, j_max):
 class TestClosedFormMatchesLoop:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_line_bundles(self, n):
-        # every third k keeps the sweep to a few seconds and still meets
-        # both parities of t - n, which decide whether the first row is met
+        # every (j, k) with |j|, |k| <= 30: at n = 5 and k = -30 that still
+        # puts runs longer than 2n + 1 on both sides of the first-row range.
+        # The flipped bundle of O(k) is O(-k), so one loop per k serves the
+        # first branch of k and the Serre branch of -k.
         v = ModelVariety(n)
-        for k in range(-60, 61, 3):
+        ahead = {k: loop_tables(HomogeneousBundle((line_bundle(n, k),)), 30)
+                 for k in range(-30, 31)}
+        for k in range(-30, 31):
             pullback = HomogeneousBundle((line_bundle(n, k),))
-            for j, expect in loop_sweep(n, pullback, 60).items():
+            for j in range(-30, 31):
+                if j >= 0:
+                    expect = ahead[k][j]
+                elif j >= -n:
+                    expect = EMPTY_TABLE
+                else:
+                    expect = ahead[-k][-n - 1 - j].reflect(2 * n)
                 assert cohomology_with_pullback_twist(v, j, pullback) == expect, (n, j, k)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -252,9 +262,9 @@ class TestClosedFormMatchesLoop:
 
 class TestHugeTwists:
     # A line bundle has one Pieri summand per a.  For lam = 0 the lower-row
-    # range holds n - 3 values of a and the first-row range none, so at
-    # n = 3 only the at most three runs are evaluated, at no more than 2n
-    # values each: one call adds at most 6n Bott weights.
+    # range holds n - 3 values of a and the first-row range none, and each
+    # of the at most three runs is evaluated at no more than 2n + 1 values:
+    # one call adds at most 7n Bott weights.
     @pytest.mark.parametrize("j", [10**9, 10**100])
     @pytest.mark.parametrize("k", [0, 7, -10**9])
     def test_step_is_one_pieri_term(self, j, k):
@@ -265,7 +275,7 @@ class TestHugeTwists:
         for m in (j, j - 1):
             before = bott_cohomology.cache_info().currsize
             tables.append(cohomology_with_pullback_twist(v, m, lb))
-            assert bott_cohomology.cache_info().currsize - before <= 6 * n
+            assert bott_cohomology.cache_info().currsize - before <= 7 * n
         step = cohomology_sum(tensor_with_sym(lb, j))
         top, below = tables
         for deg in range(2 * n + 1):
