@@ -95,8 +95,6 @@ class HomogeneousBundle:
         ns = {w.n for w in self.summands}
         if len(ns) > 1:
             raise ValueError(f"summands live on different spaces: n in {sorted(ns)}")
-        ordered = tuple(sorted(self.summands, key=lambda w: (w.lam, w.t)))
-        object.__setattr__(self, "summands", ordered)
 
     def rank(self):
         return sum(levi_rank(w) for w in self.summands)

@@ -15,6 +15,7 @@ explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -94,6 +95,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_arg(text):
+    """argparse type for integer flags; an over-long literal is not echoed in full."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text)
+        if len(text) > 40:
+            shown = f"{text[:20]!r}... ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+
+
 def build_parser():
     parser = _Parser(prog="flopcalc", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="config file of key=value lines")
@@ -105,43 +117,43 @@ def build_parser():
         p.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     p = sub.add_parser("bott", help="cohomology table of a weight on P^n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--weight", required=True, help='literal "l1,...,ln|t"')
     common(p)
 
     p = sub.add_parser("cohomology", help="cohomology of O(j) (x) pi*O(k)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--side", choices=["x", "xplus"], default="x")
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--j", type=_int_arg, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
     common(p)
 
     p = sub.add_parser("functor", help="apply phi, phiprime or psi to a class")
     p.add_argument("name", choices=["phi", "phiprime", "psi"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--j", type=_int_arg, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
     common(p)
 
     p = sub.add_parser("flop", help="lattice data of the flop")
     p.add_argument("what", choices=["picard"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     common(p)
 
     p = sub.add_parser("koszul", help="Koszul resolution of the ideal sheaf")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     common(p)
 
     p = sub.add_parser("ext", help="Ext computations")
     p.add_argument("what", choices=["oy-oy", "ideal-self"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--trace", action="store_true", help="emit chase traces")
     common(p)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("check", help="a check id or 'all'")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
+    p.add_argument("--n", type=_int_arg, default=None)
+    p.add_argument("--max-n", dest="max_n", type=_int_arg, default=None)
     p.add_argument("--markdown", action="store_true")
     p.add_argument("--out", help="write the report to this path")
     common(p)
@@ -165,6 +177,21 @@ def print_table(table, out):
         print(f"h^{i} = {d}", file=out)
 
 
+def emit_table(n, config, out, table, header, flags, **extra):
+    """Render a cohomology table. A dimension with more digits than Python
+    converts to text (``sys.get_int_max_str_digits``) is blamed on ``flags``."""
+    try:
+        if config.output_format == "json":
+            emit_json(table_payload(n, table, **extra), out)
+        else:
+            print(header, file=out)
+            print_table(table, out)
+    except ValueError:
+        raise UsageError(
+            f"{flags} too large: a dimension of the result has too many digits to print"
+        ) from None
+
+
 def _cmd_bott(args, config, out):
     weight = parse_weight(args.weight)
     if weight.n != args.n:
@@ -172,11 +199,8 @@ def _cmd_bott(args, config, out):
             f"--weight {args.weight!r} has length {weight.n}, expected n={args.n}"
         )
     table = bott_cohomology(weight)
-    if config.output_format == "json":
-        emit_json(table_payload(args.n, table), out)
-    else:
-        print(f"cohomology of {weight.literal()} on P^{args.n}:", file=out)
-        print_table(table, out)
+    header = f"cohomology of {weight.literal()} on P^{args.n}:"
+    emit_table(args.n, config, out, table, header, "--weight")
     return 0
 
 
@@ -184,11 +208,8 @@ def _cmd_cohomology(args, config, out):
     side = Side.X if args.side == "x" else Side.X_PLUS
     lb = XLineBundle(ModelVariety(args.n, side), args.j, args.k)
     table = cohomology_X(lb)
-    if config.output_format == "json":
-        emit_json(table_payload(args.n, table, j=args.j, k=args.k), out)
-    else:
-        print(f"cohomology of O({args.j}) (x) pi*O({args.k}) on side {args.side}:", file=out)
-        print_table(table, out)
+    header = f"cohomology of O({args.j}) (x) pi*O({args.k}) on side {args.side}:"
+    emit_table(args.n, config, out, table, header, "--j/--k", j=args.j, k=args.k)
     return 0
 
 
@@ -386,11 +407,13 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    out = sys.stdout
+    # the whole report is rendered before any of it is written, so a
+    # command that fails leaves stdout empty
+    out = io.StringIO()
     try:
         args = build_parser().parse_args(argv)
         config = build_config(args)
-        return _COMMANDS[args.command](args, config, out)
+        code = _COMMANDS[args.command](args, config, out)
     except UsageError as exc:
         print(f"flopcalc: error: {exc}", file=sys.stderr)
         return 2
@@ -403,6 +426,8 @@ def main(argv=None):
     except homalg.ChaseInconsistencyError as exc:
         print(f"flopcalc: inconsistent: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -129,8 +129,6 @@ class SpanningClass(enum.Enum):
 
 def enumerate_spanning_class(n, variant):
     """The generating rectangles of line-bundle classes, ordered by (j, k)."""
-    if n < 2:
-        raise ValueError(f"the model needs n >= 2, got n={n}")
     variety = ModelVariety(n, Side.X)
     if variant is SpanningClass.OMEGA:
         k_range = range(-n + 1, 2)

@@ -18,16 +18,20 @@ On top of the solver this module assembles:
     terms O(-p) (x) pi^* Wedge^p Theta for p = n down to 1;
   * the Ext table of the structure sheaf of the centre against itself,
     through the degenerate local-to-global spectral sequence whose second
-    page is h^p(P^n, Omega^q);
+    page ``{(p, q): dim}`` is h^p(P^n, Omega^q);
   * Ext groups of the Koszul terms against the ideal sheaf, by chasing the
     restriction sequence of each term's dual;
   * the self-Ext of the ideal sheaf in degree 2 at n = 2, the quantity
     separating the two pushpull functors.
 
->>> sys = ChaseSystem("doc", (ChaseTerm("0l", 0), ChaseTerm("A", None),
-...                           ChaseTerm("B", 5), ChaseTerm("0r", 0)))
->>> chase_solve(sys).values["A"]
-5
+Every long exact sequence chased here, for h^i(I), Ext^i(O_Y, I),
+Ext^i(I, I) and Ext^i(E_p, I), comes from the one builder
+``long_exact_system``.
+
+>>> sys = long_exact_system("doc", 1, (("A^{i}", None), ("B^{i}", {0: 5}),
+...                                    ("C^{i}", {})))
+>>> [t.label for t in sys.terms][:5], chase_solve(sys).values["A^0"]
+(['start', 'A^0', 'B^0', 'C^0', 'A^1'], 5)
 """
 
 from __future__ import annotations
@@ -186,6 +190,21 @@ def chase_solve(system, reverse=False):
     return ChaseSolution(system, values, unsolved, tuple(trace))
 
 
+def long_exact_system(name, n, columns):
+    """The long exact sequence of a short exact sequence, as a chase system:
+    ``start``, the three terms of each degree i = 0..2n, then ``end``.
+
+    Each column is ``(label format, dims)``, the format with an ``{i}`` field;
+    ``dims`` maps degree to dimension, an absent degree meaning 0, or is None
+    for a column of unknowns.
+    """
+    terms = [ChaseTerm("start", 0)]
+    terms += [ChaseTerm(fmt.format(i=i), None if dims is None else dims.get(i, 0))
+              for i in range(2 * n + 1) for fmt, dims in columns]
+    terms.append(ChaseTerm("end", 0))
+    return ChaseSystem(name, tuple(terms))
+
+
 # ---------------------------------------------------------------------------
 # Koszul resolution of the ideal sheaf of the flopped centre
 
@@ -235,8 +254,6 @@ class KoszulResolution:
 
 
 def koszul_resolution(n):
-    if n < 2:
-        raise ValueError(f"the model needs n >= 2, got n={n}")
     variety = ModelVariety(n, Side.X_PLUS)
     terms = tuple(
         KoszulTerm(p, XLineBundle(variety, -p, 0), exterior_power_theta(p, n))
@@ -249,45 +266,18 @@ def koszul_resolution(n):
 # Ext tables through the local-to-global spectral sequence
 
 
-@dataclass(frozen=True)
-class SpectralPage:
-    """Second-page entries (p, q) -> dimension, with total degree <= bound."""
-
-    entries: tuple[tuple[tuple[int, int], int], ...]
-    bound: int
-
-    @classmethod
-    def from_dict(cls, entries, bound):
-        for (p, q), dim in entries.items():
-            if p < 0 or q < 0 or dim < 0:
-                raise ValueError(f"bad page entry E[{p},{q}] = {dim}")
-            if p + q > bound:
-                raise ValueError(f"entry E[{p},{q}] exceeds the total bound {bound}")
-        return cls(tuple(sorted((pq, d) for pq, d in entries.items() if d)), bound)
-
-    def off_diagonal(self):
-        return [(pq, d) for pq, d in self.entries if pq[0] != pq[1]]
-
-    def antidiagonal_totals(self):
-        dims = {}
-        for (p, q), d in self.entries:
-            dims[p + q] = dims.get(p + q, 0) + d
-        return CohomologyTable.from_dict(dims)
-
-
 def local_ext_page(n):
     """E_2 of the local-to-global sequence for the centre's structure sheaf.
 
     The local Ext sheaves are the exterior powers of the conormal bundle,
-    which is the cotangent bundle of the centre; so the page entry at (p, q)
-    is h^p(P^n, Omega^q).
+    which is the cotangent bundle of the centre; so the page is
+    ``{(p, q): h^p(P^n, Omega^q)}``, with zero entries left out.
     """
-    entries = {}
-    for q in range(n + 1):
-        table = bott_cohomology(form_bundle(q, n))
-        for p, dim in table.dims().items():
-            entries[(p, q)] = dim
-    return SpectralPage.from_dict(entries, 2 * n)
+    return {
+        (p, q): dim
+        for q in range(n + 1)
+        for p, dim in bott_cohomology(form_bundle(q, n)).dims().items()
+    }
 
 
 def ext_table_OY(n):
@@ -300,13 +290,13 @@ def ext_table_OY(n):
     if n < 2:
         raise ValueError(f"the model needs n >= 2, got n={n}")
     page = local_ext_page(n)
-    stray = page.off_diagonal()
+    stray = [(pq, d) for pq, d in sorted(page.items()) if pq[0] != pq[1]]
     if stray:
         raise DegeneracyUnjustifiedError(
             f"nonzero off-diagonal second-page entries {stray}; the spectral "
             f"sequence need not degenerate"
         )
-    return page.antidiagonal_totals()
+    return CohomologyTable.from_dict({2 * p: d for (p, _), d in page.items()})
 
 
 def ext_OY_structure(n):
@@ -324,33 +314,20 @@ def ext_OY_structure(n):
 
 @dataclass(frozen=True)
 class PartialTable:
-    """Dimensions by degree where the chase settled them; the rest unknown."""
+    """Dimensions by degree 0, 1, ... where the chase settled them, None
+    where it did not; every degree past the end is 0."""
 
-    known: tuple[tuple[int, int], ...]
-    unknown: frozenset[int]
+    dims: tuple[int | None, ...]
 
     def get(self, degree):
-        vals = dict(self.known)
-        if degree in vals:
-            return vals[degree]
-        if degree in self.unknown:
-            return None
-        return 0
+        return self.dims[degree] if 0 <= degree < len(self.dims) else 0
 
     def is_known(self, degree):
-        return degree not in self.unknown
+        return self.get(degree) is not None
 
-
-def _partial_from_solution(solution, degree_labels):
-    known = {}
-    unknown = set()
-    for degree, label in degree_labels.items():
-        val = solution.values[label]
-        if val is None:
-            unknown.add(degree)
-        else:
-            known[degree] = val
-    return PartialTable(tuple(sorted(known.items())), frozenset(unknown))
+    @property
+    def unknown(self):
+        return frozenset(i for i, d in enumerate(self.dims) if d is None)
 
 
 def restriction_chase_system(p, n):
@@ -366,22 +343,20 @@ def restriction_chase_system(p, n):
     variety = ModelVariety(n, Side.X_PLUS)
     dual_table = cohomology_with_pullback_twist(variety, p, form_bundle(p, n))
     centre_table = bott_cohomology(form_bundle(p, n))
-    top = 2 * n
-    terms = [ChaseTerm("start", 0)]
-    for i in range(top + 1):
-        terms.append(ChaseTerm(f"Ext^{i}(E{p},I)", None))
-        terms.append(ChaseTerm(f"h^{i}(E{p}v)", dual_table.get(i)))
-        terms.append(ChaseTerm(f"h^{i}(Omega^{p}|Y)", centre_table.get(i)))
-    terms.append(ChaseTerm("end", 0))
-    return ChaseSystem(f"ext-koszul-term-p{p}-n{n}", tuple(terms))
+    return long_exact_system(f"ext-koszul-term-p{p}-n{n}", n, (
+        (f"Ext^{{i}}(E{p},I)", None),
+        (f"h^{{i}}(E{p}v)", dual_table.dims()),
+        (f"h^{{i}}(Omega^{p}|Y)", centre_table.dims()),
+    ))
 
 
 def ext_locally_free_vs_ideal(p, n):
     """Ext^i of the p-th Koszul term against the ideal sheaf, as far as the
     chase determines it; undetermined degrees are reported, never guessed."""
     solution = chase_solve(restriction_chase_system(p, n))
-    labels = {i: f"Ext^{i}(E{p},I)" for i in range(2 * n + 1)}
-    return _partial_from_solution(solution, labels)
+    return PartialTable(
+        tuple(solution.values[f"Ext^{i}(E{p},I)"] for i in range(2 * n + 1))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -393,28 +368,20 @@ def ideal_cohomology_system(n=2):
     variety = ModelVariety(n, Side.X_PLUS)
     x_table = cohomology_X(XLineBundle(variety, 0, 0))
     y_table = bott_cohomology(structure_sheaf(n))
-    top = 2 * n
-    terms = [ChaseTerm("start", 0)]
-    for i in range(top + 1):
-        terms.append(ChaseTerm(f"h^{i}(I)", None))
-        terms.append(ChaseTerm(f"h^{i}(O_X)", x_table.get(i)))
-        terms.append(ChaseTerm(f"h^{i}(O_Y)", y_table.get(i)))
-    terms.append(ChaseTerm("end", 0))
-    return ChaseSystem(f"ideal-cohomology-n{n}", tuple(terms))
+    return long_exact_system(f"ideal-cohomology-n{n}", n, (
+        ("h^{i}(I)", None),
+        ("h^{i}(O_X)", x_table.dims()),
+        ("h^{i}(O_Y)", y_table.dims()),
+    ))
 
 
 def ext_centre_vs_ideal_system(n=2):
     """Ext^i(O_Y, I) chased through Ext^i(O_Y, O_X) and Ext^i(O_Y, O_Y)."""
-    ox_table = ext_OY_structure(n)
-    oy_table = ext_table_OY(n)
-    top = 2 * n
-    terms = [ChaseTerm("start", 0)]
-    for i in range(top + 1):
-        terms.append(ChaseTerm(f"Ext^{i}(O_Y,I)", None))
-        terms.append(ChaseTerm(f"Ext^{i}(O_Y,O_X)", ox_table.get(i)))
-        terms.append(ChaseTerm(f"Ext^{i}(O_Y,O_Y)", oy_table.get(i)))
-    terms.append(ChaseTerm("end", 0))
-    return ChaseSystem(f"ext-centre-vs-ideal-n{n}", tuple(terms))
+    return long_exact_system(f"ext-centre-vs-ideal-n{n}", n, (
+        ("Ext^{i}(O_Y,I)", None),
+        ("Ext^{i}(O_Y,O_X)", ext_OY_structure(n).dims()),
+        ("Ext^{i}(O_Y,O_Y)", ext_table_OY(n).dims()),
+    ))
 
 
 def ext_ideal_self_system(n=2):
@@ -423,27 +390,23 @@ def ext_ideal_self_system(n=2):
     The two feeder systems are solved first; any value they leave unknown is
     carried into this system as an unknown, not silently zeroed.
     """
-    centre = chase_solve(ext_centre_vs_ideal_system(n))
-    ideal = chase_solve(ideal_cohomology_system(n))
-    top = 2 * n
-    terms = [ChaseTerm("start", 0)]
-    for i in range(top + 1):
-        terms.append(ChaseTerm(f"Ext^{i}(O_Y,I)", centre.values[f"Ext^{i}(O_Y,I)"]))
-        terms.append(ChaseTerm(f"h^{i}(I)", ideal.values[f"h^{i}(I)"]))
-        terms.append(ChaseTerm(f"Ext^{i}(I,I)", None))
-    terms.append(ChaseTerm("end", 0))
-    return ChaseSystem(f"ext-ideal-self-n{n}", tuple(terms))
+    centre = chase_solve(ext_centre_vs_ideal_system(n)).values
+    ideal = chase_solve(ideal_cohomology_system(n)).values
+    degrees = range(2 * n + 1)
+    return long_exact_system(f"ext-ideal-self-n{n}", n, (
+        ("Ext^{i}(O_Y,I)", {i: centre[f"Ext^{i}(O_Y,I)"] for i in degrees}),
+        ("h^{i}(I)", {i: ideal[f"h^{i}(I)"] for i in degrees}),
+        ("Ext^{i}(I,I)", None),
+    ))
+
+
+_IDEAL_SELF_SYSTEMS = (ideal_cohomology_system, ext_centre_vs_ideal_system, ext_ideal_self_system)
 
 
 def reference_chase_systems(n=2):
     """Every system this module assembles for its own computations."""
-    systems = [
-        ideal_cohomology_system(n),
-        ext_centre_vs_ideal_system(n),
-        ext_ideal_self_system(n),
-    ]
-    systems.extend(restriction_chase_system(p, n) for p in range(1, n + 1))
-    return systems
+    systems = [build(n) for build in _IDEAL_SELF_SYSTEMS]
+    return systems + [restriction_chase_system(p, n) for p in range(1, n + 1)]
 
 
 def ext2_ideal_self(n=2):
@@ -460,8 +423,4 @@ def ext2_ideal_self(n=2):
 
 def ext2_ideal_self_trace(n=2):
     """The chase traces behind ext2_ideal_self, for reporting."""
-    traces = []
-    for system in reference_chase_systems(n)[:3]:
-        solution = chase_solve(system)
-        traces.append((system.name, solution.trace))
-    return traces
+    return [(s.name, chase_solve(s).trace) for s in (b(n) for b in _IDEAL_SELF_SYSTEMS)]

@@ -8,6 +8,11 @@ import pytest
 from flopcalc.cli import main
 
 
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -61,6 +66,34 @@ class TestCohomology:
         code, _, err = run(capsys, "cohomology", "--n", "1", "--j", "0", "--k", "0")
         assert code == 2
         assert "n >= 2" in err
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["cohomology", "--n", "3", "--j", "1" + "0" * 1000, "--k", "0"], "--j/--k"),
+            (["cohomology", "--n", "3", "--j", "1" + "0" * 1000, "--k", "0", "--json"],
+             "--j/--k"),
+            (["bott", "--n", "2", "--weight", "1" + "0" * 2500 + ",0|0"], "--weight"),
+        ],
+        ids=["cohomology-text", "cohomology-json", "bott-text"],
+    )
+    def test_dimension_past_the_digit_limit_is_usage_error(self, capsys, argv, flag):
+        # the table is computed, but a dimension has over 4300 digits
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and len(err) <= 200
+        assert flag in err
+
+    @needs_digit_limit
+    def test_overlong_literal_is_not_echoed(self, capsys):
+        j = "1" + "0" * 5000
+        code, out, err = run(capsys, "cohomology", "--n", "3", "--j", j, "--k", "0")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and len(err) <= 200
+        assert "--j" in err
 
 
 class TestFunctor:
