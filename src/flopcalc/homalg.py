@@ -314,8 +314,8 @@ def ext_OY_structure(n):
 
 @dataclass(frozen=True)
 class PartialTable:
-    """Dimensions by degree 0, 1, ... where the chase settled them, None
-    where it did not; every degree past the end is 0."""
+    """Dimensions of degrees 0, 1, ... where the chase settled them, None
+    where it did not; every other degree is 0."""
 
     dims: tuple[int | None, ...]
 

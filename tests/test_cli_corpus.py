@@ -3,7 +3,7 @@
 ``data/cli_corpus.json`` holds, for each argv, the stdout, stderr and exit
 code that ``flopcalc`` produced when the corpus was recorded. Each case is
 replayed in-process and must match byte for byte. A change that means to
-alter one of these outputs re-records the corpus and says why.
+alter one of these outputs updates the recorded bytes and says why.
 """
 
 import json
