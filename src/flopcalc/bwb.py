@@ -26,6 +26,7 @@ safe to use from concurrent code without locking.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -46,12 +47,24 @@ class LeviWeight:
             raise ValueError(
                 f"weight vector has length {len(self.lam)}, expected n={self.n}"
             )
-        if any(a < b for a, b in zip(self.lam, self.lam[1:])):
+        if self.lam != tuple(sorted(self.lam, reverse=True)):
             raise ValueError(f"weight vector {self.lam} is not non-increasing")
 
     def literal(self):
         """Render in the CLI/JSON literal syntax, e.g. ``"1,0|-1"``."""
         return ",".join(str(a) for a in self.lam) + "|" + str(self.t)
+
+
+def shorten(text, show=str):
+    """``show(text)`` for a diagnostic; past 40 characters, ``show`` of the
+    first 20 and the length, so an over-long input is not echoed in full.
+
+    >>> shorten("9" * 50, repr)
+    "'99999999999999999999'... (50 characters)"
+    """
+    if len(text) <= 40:
+        return show(text)
+    return f"{show(text[:20])}... ({len(text)} characters)"
 
 
 def parse_weight(text):
@@ -60,15 +73,25 @@ def parse_weight(text):
     >>> parse_weight("1,0|-1") == tangent_bundle(2)
     True
     """
+    shown = shorten(text, repr)
     body, sep, tail = text.partition("|")
     if not sep:
-        raise ValueError(f"weight literal {text!r} is missing the '|t' part")
-    try:
-        lam = tuple(int(tok) for tok in body.split(","))
-        t = int(tail)
-    except ValueError:
-        raise ValueError(f"weight literal {text!r} has a non-integer token") from None
-    return LeviWeight(len(lam), lam, t)
+        raise ValueError(f"weight literal {shown} is missing the '|t' part")
+
+    def entry(tok):
+        try:
+            return int(tok)
+        except ValueError:
+            # int() refuses a decimal literal only past the digit limit
+            if re.fullmatch(r"\s*[+-]?\d+\s*", tok):
+                raise ValueError(
+                    f"weight literal {shown} has an integer entry of {len(tok)} "
+                    "characters, too long to read"
+                ) from None
+            raise ValueError(f"weight literal {shown} has a non-integer token") from None
+
+    lam = tuple(entry(tok) for tok in body.split(","))
+    return LeviWeight(len(lam), lam, entry(tail))
 
 
 def structure_sheaf(n):

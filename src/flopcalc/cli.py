@@ -20,9 +20,10 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import flop, homalg, verify
-from .bwb import bott_cohomology, parse_weight
+from .bwb import bott_cohomology, parse_weight, shorten
 from .pbundle import ModelVariety, Side, XLineBundle, cohomology_X
 
 
@@ -100,13 +101,13 @@ def _int_arg(text):
     try:
         return int(text)
     except ValueError:
-        shown = repr(text)
-        if len(text) > 40:
-            shown = f"{text[:20]!r}... ({len(text)} characters)"
+        shown = shorten(text, repr)
         raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process; parse_args keeps no state."""
     parser = _Parser(prog="flopcalc", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="config file of key=value lines")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -196,7 +197,8 @@ def _cmd_bott(args, config, out):
     weight = parse_weight(args.weight)
     if weight.n != args.n:
         raise UsageError(
-            f"--weight {args.weight!r} has length {weight.n}, expected n={args.n}"
+            f"--weight {shorten(args.weight, repr)} has length {weight.n}, "
+            f"expected n={shorten(str(args.n))}"
         )
     table = bott_cohomology(weight)
     header = f"cohomology of {weight.literal()} on P^{args.n}:"
@@ -375,11 +377,12 @@ def _cmd_verify(args, config, out):
             raise UsageError(f"--max-n only applies to 'verify all', not to {args.check}")
         n = args.n if args.n is not None else 2
         if args.check in verify.PINNED_CHECKS and n != 2:
-            raise UsageError(f"{args.check} is pinned to n = 2, got --n {n}")
+            raise UsageError(f"{args.check} is pinned to n = 2, got --n {shorten(str(n))}")
         results = [verify.run_check(args.check, n)]
     else:
         raise UsageError(
-            f"unknown check {args.check!r}; known: all, {', '.join(verify.ALL_CHECK_IDS)}"
+            f"unknown check {shorten(args.check, repr)}; "
+            f"known: all, {', '.join(verify.ALL_CHECK_IDS)}"
         )
     if config.output_format == "json":
         report = _render_verify_json(results)

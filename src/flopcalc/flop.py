@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .bwb import shorten
 from .pbundle import ModelVariety, Side, XLineBundle
 
 
@@ -75,6 +76,11 @@ class FMImage:
             raise ValueError("ideal-twist images only arise on the flopped side")
 
 
+def _shown(*values):
+    """Integers for a diagnostic, an over-long one shortened."""
+    return ", ".join(shorten(str(v)) for v in values)
+
+
 def _require_side(lb, side, functor):
     if lb.variety.side is not side:
         raise FunctorRangeError(f"{functor} expects a class on side {side.value}")
@@ -86,8 +92,8 @@ def apply_phi(lb):
     n = lb.variety.n
     if not (-n <= lb.j <= 0 and -n + 1 <= lb.k <= 1):
         raise FunctorRangeError(
-            f"phi is only computed for -{n} <= j <= 0 and -{n - 1} <= k <= 1, "
-            f"got (j, k) = {lb.coords()}"
+            f"phi is only computed for {_shown(-n)} <= j <= 0 and {_shown(-n + 1)} "
+            f"<= k <= 1, got (j, k) = ({_shown(lb.j, lb.k)})"
         )
     target = ModelVariety(n, Side.X_PLUS)
     image = XLineBundle(target, lb.j + lb.k, -lb.k)
@@ -105,7 +111,7 @@ def apply_phi_prime(lb):
     if not (-n <= j <= 0 and -n + 1 <= k <= 0):
         raise FunctorRangeError(
             f"phi_prime is only computed on line images of the phi range, "
-            f"got class {lb.coords()}"
+            f"got class ({_shown(lb.j, lb.k)})"
         )
     return XLineBundle(ModelVariety(n, Side.X), j, k)
 
@@ -116,7 +122,8 @@ def apply_psi(lb):
     n = lb.variety.n
     if not (-n <= lb.j <= 0 and -n <= lb.k <= 0):
         raise FunctorRangeError(
-            f"psi is only computed for -{n} <= j, k <= 0, got (j, k) = {lb.coords()}"
+            f"psi is only computed for {_shown(-n)} <= j, k <= 0, "
+            f"got (j, k) = ({_shown(lb.j, lb.k)})"
         )
     target = ModelVariety(n, Side.X_PLUS)
     return XLineBundle(target, lb.j + lb.k, -lb.k)

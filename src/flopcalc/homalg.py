@@ -37,6 +37,7 @@ Ext^i(I, I) and Ext^i(E_p, I), comes from the one builder
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .bwb import (
@@ -217,8 +218,9 @@ class KoszulTerm:
     line_class: XLineBundle
     theta_wedge: LeviWeight
 
-    @property
+    @cached_property
     def rank(self):
+        """Weyl dimension of the wedge weight, computed on first access only."""
         return levi_rank(self.theta_wedge)
 
 

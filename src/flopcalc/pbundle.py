@@ -49,6 +49,16 @@ cohomology_sum call; so is every class with j <= 2n.  A class thus costs
 O(n + lam_0 - lam_{n-1}) Pieri decompositions per summand of the twisting
 bundle, however large j and t (and so k) are.
 
+cohomology_X, the line-bundle case, keeps its tables in one cache and reuses
+them along j.  For 0 <= j <= 2n the table at (j, k) is the table at
+(j - 1, k) plus the one Pieri step a = j, added degree by degree, so a miss
+costs one Pieri step once (j - 1, k) is cached.  The prefix is built upward
+from a = 0 in a loop whose calls below j are cache hits once built, so the
+recursion depth does not grow with n or j.  A class with
+-3n - 1 <= j <= -n - 1 reflects by Serre duality into that range, as
+(-n - 1 - j, -k) read backwards from degree 2n.  Every other j takes the
+branches above, with the closed form for j > 2n.
+
 The flopped side carries an isomorphic bundle structure, so tables do not
 depend on the ``side`` tag; it exists to keep functor domains honest.  The
 model is only defined for n >= 2 (n = 1 degenerates to an isomorphism).
@@ -129,7 +139,20 @@ def canonical_class(variety):
 
 @lru_cache(maxsize=None)
 def _cohomology_coords(n, j, k):
-    return cohomology_with_pullback_twist(ModelVariety(n), j, line_bundle(n, k))
+    if -3 * n - 1 <= j <= -n - 1:
+        return _cohomology_coords(n, -n - 1 - j, -k).reflect(2 * n)
+    if not 0 <= j <= 2 * n:
+        return cohomology_with_pullback_twist(ModelVariety(n), j, line_bundle(n, k))
+    # the prefix: the table at j - 1 plus the a = j Pieri step.  Walking up
+    # from a = 0, each call below j is a cache hit once built, so the
+    # recursion depth does not grow with n or j.
+    below = EMPTY_TABLE
+    for a in range(j):
+        below = _cohomology_coords(n, a, k)
+    dims = below.dims()
+    for deg, dim in cohomology_sum(tensor_with_sym(line_bundle(n, k), j)).entries:
+        dims[deg] = dims.get(deg, 0) + dim
+    return CohomologyTable.from_dict(dims)
 
 
 def cohomology_X(lb):

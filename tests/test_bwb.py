@@ -50,10 +50,13 @@ class TestLeviWeight:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             LeviWeight(0, (), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^weight vector \(0, 1\) is not non-increasing$"):
             LeviWeight(2, (0, 1), 0)
+        with pytest.raises(ValueError, match="not non-increasing"):
+            LeviWeight(4, (3, 1, 2, 0), 0)
         with pytest.raises(ValueError):
             LeviWeight(2, (1,), 0)
+        assert LeviWeight(4, (2, 2, 0, 0), 1).lam == (2, 2, 0, 0)
 
     def test_weight_literal_round_trip(self):
         w = LeviWeight(3, (2, 0, -1), -4)
@@ -63,8 +66,18 @@ class TestLeviWeight:
     def test_literal_errors(self):
         with pytest.raises(ValueError):
             parse_weight("1,0")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-integer token"):
             parse_weight("1,a|0")
+        with pytest.raises(ValueError, match="non-integer token"):
+            parse_weight("+-5,0|0")
+
+    def test_long_literal_is_shortened(self):
+        text = "x" * 30 + ",0|0"
+        with pytest.raises(ValueError) as err:
+            parse_weight(text * 3)
+        assert str(err.value) == (
+            "weight literal 'xxxxxxxxxxxxxxxxxxxx'... (102 characters) has a non-integer token"
+        )
 
 
 class TestBottCohomology:

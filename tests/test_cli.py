@@ -45,6 +45,15 @@ class TestBott:
         assert code == 2
         assert "1,x|-1" in err
 
+    @needs_digit_limit
+    def test_overlong_entry_is_not_echoed(self, capsys):
+        code, out, err = run(capsys, "bott", "--n", "2", "--weight", "1" + "0" * 5000 + ",0|0")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and len(err) <= 200
+        assert "non-integer" not in err
+        assert "too long" in err
+
 
 class TestCohomology:
     def test_acyclic_class(self, capsys):
@@ -306,6 +315,54 @@ class TestOutputStability:
             code, out, _ = run(capsys, *argv)
             assert code == 0, argv
             json.loads(out)
+
+
+NINES = "9" * 4300   # int() still reads it
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["functor", "phi", "--n", "2", "--j", NINES, "--k", "0"],
+        ["functor", "phiprime", "--n", "2", "--j", NINES, "--k", "0"],
+        ["functor", "psi", "--n", "2", "--j", "0", "--k", NINES],
+        ["functor", "psi", "--n", NINES, "--j", "1", "--k", "0"],
+        ["bott", "--n", "3", "--weight", NINES + ",0|0"],
+        ["verify", "lemma-2-1", "--n", NINES],
+        ["verify", "x" * 4300],
+    ],
+    ids=["phi", "phiprime", "psi", "psi-n", "bott-length", "verify-pinned", "verify-unknown"],
+)
+def test_overlong_input_is_not_echoed(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and len(err) <= 200
+    assert "... (43" in err
+
+
+def test_shared_parser_keeps_no_state(capsys, tmp_path, monkeypatch):
+    # the parser is built once per process; a run of calls in one process
+    # must print what each call prints in a process of its own
+    monkeypatch.delenv("FLOPCALC_CONFIG", raising=False)
+    cfg = tmp_path / "flopcalc.cfg"
+    cfg.write_text("max_n = 3\nformat = json\n")
+    calls = [
+        ["cohomology", "--n", "x", "--j", "0", "--k", "0"],
+        ["verify", "all", "--n", "3"],
+        ["--config", str(cfg), "verify", "all"],
+        ["verify", "all"],
+        ["verify", "lemma-3-4", "--n", "3", "--config", str(cfg)],
+        ["verify", "lemma-3-4", "--n", "3"],
+    ]
+    alone = []
+    for argv in calls:
+        proc = run_module(*argv)
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    together = [run(capsys, *argv) for argv in calls]
+    assert together == alone
+    assert [code for code, _, _ in alone] == [2, 2, 0, 0, 0, 0]
+    assert alone[2][1] != alone[3][1] and alone[4][1] != alone[5][1]
 
 
 def run_module(*argv, timeout=None):

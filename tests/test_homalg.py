@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flopcalc.bwb import line_bundle, normalize
+from flopcalc import homalg
+from flopcalc.bwb import levi_rank, line_bundle, normalize
 from flopcalc.homalg import (
     ChaseInconsistencyError,
     ChaseSystem,
@@ -124,6 +125,21 @@ class TestKoszulResolution:
         res = koszul_resolution(n)
         assert [t.rank for t in res.terms] == [comb(n, p) for p in range(n, 0, -1)]
         assert res.alternating_rank_sum() == 1
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_each_rank_is_computed_once(self, n, monkeypatch):
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return levi_rank(w)
+
+        monkeypatch.setattr(homalg, "levi_rank", counting)
+        res = koszul_resolution(n)
+        assert len(calls) == n
+        assert res.alternating_rank_sum() == 1
+        assert [t.rank for t in res.terms] == [comb(n, p) for p in range(n, 0, -1)]
+        assert len(calls) == n
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_euler_consistency_with_the_ideal(self, n):

@@ -1,9 +1,11 @@
+import random
 from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flopcalc import pbundle
 from flopcalc.bwb import (
     EMPTY_TABLE,
     CohomologyTable,
@@ -283,3 +285,63 @@ class TestHugeTwists:
         assert not top.is_zero()
         serre = cohomology_with_pullback_twist(v, -n - 1 - j, line_bundle(n, -k))
         assert serre == top.reflect(2 * n)
+
+
+class TestPrefixPath:
+    # Line-bundle classes with -3n - 1 <= j <= 2n are built as prefix sums
+    # over j, the rest by the closed form above.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_loop_in_any_order(self, n):
+        v = ModelVariety(n)
+        ks = range(-2 * n - 4, 2 * n + 5)
+        ahead = {k: loop_tables(HomogeneousBundle((line_bundle(n, k),)), 2 * n) for k in ks}
+        expect = {}
+        for k in ks:
+            for j in range(-3 * n - 1, 2 * n + 1):
+                if j >= 0:
+                    expect[j, k] = ahead[k][j]
+                elif j >= -n:
+                    expect[j, k] = EMPTY_TABLE
+                else:
+                    expect[j, k] = ahead[-k][-n - 1 - j].reflect(2 * n)
+        order = sorted(expect)
+        for seed in (0, 1):
+            pbundle._cohomology_coords.cache_clear()
+            random.Random(seed).shuffle(order)
+            for j, k in order:
+                assert cohomology_X(XLineBundle(v, j, k)) == expect[j, k], (n, j, k, seed)
+
+    def test_miss_above_a_cached_prefix_costs_one_step(self, monkeypatch):
+        n, k = 5, 2
+        v = ModelVariety(n)
+        pbundle._cohomology_coords.cache_clear()
+        cohomology_X(XLineBundle(v, 6, k))
+        steps = []
+
+        def counting(w, a):
+            steps.append(a)
+            return tensor_with_sym(w, a)
+
+        monkeypatch.setattr(pbundle, "tensor_with_sym", counting)
+        cohomology_X(XLineBundle(v, 7, k))
+        cohomology_X(XLineBundle(v, -n - 1 - 3, -k))   # Serre partner of (3, k)
+        assert steps == [7]
+
+    def test_deep_prefix_stays_within_the_recursion_limit(self, monkeypatch):
+        # n = 600 puts j = 2n = 1200 past the default recursion limit of 1000,
+        # so a walk that recursed once per j would fail here.  One real step
+        # at n = 600 costs about 15 s in weyl_dim, so each step is stubbed to
+        # h^0 = number of Pieri summands, which is 1 for a line bundle.
+        def one_per_summand(bundle):
+            return CohomologyTable.from_dict({0: len(bundle.summands)})
+
+        n = 600
+        v = ModelVariety(n)
+        monkeypatch.setattr(pbundle, "cohomology_sum", one_per_summand)
+        pbundle._cohomology_coords.cache_clear()
+        try:
+            assert cohomology_X(XLineBundle(v, 2 * n, 0)).dims() == {0: 2 * n + 1}
+            top = cohomology_X(XLineBundle(v, -3 * n - 1, 0))
+            assert top.dims() == {2 * n: 2 * n + 1}
+        finally:
+            pbundle._cohomology_coords.cache_clear()
