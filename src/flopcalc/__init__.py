@@ -56,7 +56,6 @@ from .pbundle import (
     XLineBundle,
     canonical_class,
     cohomology_X,
-    euler_char,
     hom_dims,
 )
 from .verify import CheckResult, Status, run_all, run_check

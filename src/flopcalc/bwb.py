@@ -67,6 +67,23 @@ def shorten(text, show=str):
     return f"{show(text[:20])}... ({len(text)} characters)"
 
 
+def read_int(token, invalid, too_long="an integer"):
+    """``int(token)``, else a ValueError saying ``invalid``.  The one decimal
+    literal ``int`` refuses, one past Python's int-to-str digit limit, is
+    instead ``too_long`` "of N characters, too long to read".
+
+    >>> read_int("1,0", "not an integer")
+    Traceback (most recent call last):
+    ValueError: not an integer
+    """
+    try:
+        return int(token)
+    except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+\s*", token):
+            invalid = f"{too_long} of {len(token)} characters, too long to read"
+        raise ValueError(invalid) from None
+
+
 def parse_weight(text):
     """Parse a weight literal ``"lam_1,...,lam_n|t"`` into a LeviWeight.
 
@@ -77,21 +94,10 @@ def parse_weight(text):
     body, sep, tail = text.partition("|")
     if not sep:
         raise ValueError(f"weight literal {shown} is missing the '|t' part")
-
-    def entry(tok):
-        try:
-            return int(tok)
-        except ValueError:
-            # int() refuses a decimal literal only past the digit limit
-            if re.fullmatch(r"\s*[+-]?\d+\s*", tok):
-                raise ValueError(
-                    f"weight literal {shown} has an integer entry of {len(tok)} "
-                    "characters, too long to read"
-                ) from None
-            raise ValueError(f"weight literal {shown} has a non-integer token") from None
-
-    lam = tuple(entry(tok) for tok in body.split(","))
-    return LeviWeight(len(lam), lam, entry(tail))
+    invalid = f"weight literal {shown} has a non-integer token"
+    too_long = f"weight literal {shown} has an integer entry"
+    lam = tuple(read_int(tok, invalid, too_long) for tok in body.split(","))
+    return LeviWeight(len(lam), lam, read_int(tail, invalid, too_long))
 
 
 def structure_sheaf(n):
@@ -119,9 +125,6 @@ class HomogeneousBundle:
         if len(ns) > 1:
             raise ValueError(f"summands live on different spaces: n in {sorted(ns)}")
 
-    def rank(self):
-        return sum(levi_rank(w) for w in self.summands)
-
 
 @dataclass(frozen=True)
 class CohomologyTable:
@@ -148,9 +151,6 @@ class CohomologyTable:
     def reflect(self, top):
         """The table read backwards from degree ``top`` (Serre reflection)."""
         return CohomologyTable.from_dict({top - d: v for d, v in self.entries})
-
-    def max_degree(self):
-        return max((d for d, _ in self.entries), default=0)
 
     def is_zero(self):
         return not self.entries
@@ -223,16 +223,6 @@ def dual(w):
 def serre_dual(w):
     """Weight of w-dual tensored with the canonical bundle O(-n-1)."""
     return twist(dual(w), -(w.n + 1))
-
-
-def normalize(w):
-    """Shift lam so its last entry is 0, absorbing the determinant into t.
-
-    ``(lam + c, t + c)`` and ``(lam, t)`` name the same bundle because the
-    determinant of Q is O(1); the normal form makes such pairs comparable.
-    """
-    c = w.lam[-1]
-    return LeviWeight(w.n, tuple(a - c for a in w.lam), w.t - c)
 
 
 def exterior_power_theta(p, n):

@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands: bott, cohomology, functor, flop, koszul, ext, verify.  Every
-subcommand supports --json; text output renders the same data.  JSON output
-is schema-stable: keys sorted, no timestamps, all numbers exact decimal
-integers.  Exit codes: 0 success / all checks pass, 1 any FAIL, 2 malformed
-input (with a one-line diagnostic naming the offending token), 3 any
-UNDERDETERMINED without a FAIL.
+Subcommands: bott, cohomology, functor, flop, koszul, ext, verify.  Each
+returns a Report of its data, and ``render`` writes it once, as JSON
+(--json), text, or for verify Markdown (--markdown; other subcommands write
+text), to stdout or to verify's --out file.  JSON output is schema-stable:
+no timestamps, exact decimal integers, keys sorted as strings (degree "10"
+before "2").  ``ext ideal-self --trace`` writes its chase lines first, also
+before the JSON line.  Exit codes: 0 success / all checks pass, 1 any FAIL,
+2 malformed input (with a one-line diagnostic naming the offending token),
+3 any UNDERDETERMINED without a FAIL.
 
 Defaults may come from a config file of key=value lines (keys: max_n,
 format) named by --config or the FLOPCALC_CONFIG environment variable;
@@ -15,15 +18,16 @@ explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import flop, homalg, verify
-from .bwb import bott_cohomology, parse_weight, shorten
+from .bwb import bott_cohomology, parse_weight, read_int, shorten
 from .pbundle import ModelVariety, Side, XLineBundle, cohomology_X
 
 
@@ -35,8 +39,6 @@ class UsageError(Exception):
 class RunConfig:
     max_n: int = 4
     output_format: str = "text"
-    out_path: str | None = None
-    trace: bool = False
 
     def __post_init__(self):
         if self.max_n < 2:
@@ -78,16 +80,11 @@ def build_config(args):
     overrides = load_config_file(path) if path else {}
     if getattr(args, "max_n", None) is not None:
         overrides["max_n"] = args.max_n
-    if getattr(args, "json", False) and getattr(args, "markdown", False):
+    formats = [f for f in ("json", "markdown") if getattr(args, f, False)]
+    if len(formats) > 1:
         raise UsageError("--json and --markdown cannot be combined; pick one")
-    if getattr(args, "json", False):
-        overrides["output_format"] = "json"
-    if getattr(args, "markdown", False):
-        overrides["output_format"] = "markdown"
-    if getattr(args, "out", None):
-        overrides["out_path"] = args.out
-    if getattr(args, "trace", False):
-        overrides["trace"] = True
+    if formats:
+        overrides["output_format"] = formats[0]
     return RunConfig(**overrides)
 
 
@@ -95,14 +92,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _check_value(self, action, value):
+        # argparse would echo an over-long invalid choice in full
+        if action.choices is not None and value not in action.choices and shorten(value) != value:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {shorten(value, repr)} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+        super()._check_value(action, value)
+
 
 def _int_arg(text):
     """argparse type for integer flags; an over-long literal is not echoed in full."""
     try:
-        return int(text)
-    except ValueError:
-        shown = shorten(text, repr)
-        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+        return read_int(text, f"invalid int value: {shorten(text, repr)}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @lru_cache(maxsize=1)
@@ -162,212 +166,106 @@ def build_parser():
     return parser
 
 
-def emit_json(payload, out):
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=out)
+@dataclass(frozen=True)
+class Report:
+    """A subcommand's result.  ``text`` and ``markdown`` return its lines
+    when called, so JSON output never formats them."""
+
+    payload: object  # what --json writes
+    text: Callable[[], list[str]]
+    markdown: Callable[[], list[str]] | None = None  # verify only
+    code: int = 0
+    trace: tuple[str, ...] = ()  # lines written before the report in any format
+    blame: str = "--n"  # the flags a number past the digit limit came from
 
 
-def table_payload(n, table, **extra):
-    return {"n": n, "dims": {str(i): d for i, d in table.dims().items()}, **extra}
+def _table(n, table, blame, header, row="h^{} = {}", **extra):
+    """Report of a cohomology table; ``header`` returns its first line."""
+
+    def text():
+        rows = [row.format(i, d) for i, d in table.dims().items()]
+        return [header(), *(rows or ["zero in every degree"])]
+
+    return Report({"n": n, "dims": table.dims(), **extra}, text, blame=blame)
 
 
-def print_table(table, out):
-    if table.is_zero():
-        print("zero in every degree", file=out)
-        return
-    for i, d in table.dims().items():
-        print(f"h^{i} = {d}", file=out)
-
-
-def emit_table(n, config, out, table, header, flags, **extra):
-    """Render a cohomology table. A dimension with more digits than Python
-    converts to text (``sys.get_int_max_str_digits``) is blamed on ``flags``."""
-    try:
-        if config.output_format == "json":
-            emit_json(table_payload(n, table, **extra), out)
-        else:
-            print(header, file=out)
-            print_table(table, out)
-    except ValueError:
-        raise UsageError(
-            f"{flags} too large: a dimension of the result has too many digits to print"
-        ) from None
-
-
-def _cmd_bott(args, config, out):
+def _cmd_bott(args, config):
     weight = parse_weight(args.weight)
     if weight.n != args.n:
-        raise UsageError(
-            f"--weight {shorten(args.weight, repr)} has length {weight.n}, "
-            f"expected n={shorten(str(args.n))}"
-        )
-    table = bott_cohomology(weight)
-    header = f"cohomology of {weight.literal()} on P^{args.n}:"
-    emit_table(args.n, config, out, table, header, "--weight")
-    return 0
+        raise UsageError(f"--weight {shorten(args.weight, repr)} has length {weight.n}, "
+                         f"expected n={shorten(str(args.n))}")
+    return _table(args.n, bott_cohomology(weight), "--weight",
+                  lambda: f"cohomology of {weight.literal()} on P^{args.n}:")
 
 
-def _cmd_cohomology(args, config, out):
+def _cmd_cohomology(args, config):
     side = Side.X if args.side == "x" else Side.X_PLUS
-    lb = XLineBundle(ModelVariety(args.n, side), args.j, args.k)
-    table = cohomology_X(lb)
-    header = f"cohomology of O({args.j}) (x) pi*O({args.k}) on side {args.side}:"
-    emit_table(args.n, config, out, table, header, "--j/--k", j=args.j, k=args.k)
-    return 0
+    table = cohomology_X(XLineBundle(ModelVariety(args.n, side), args.j, args.k))
+    return _table(args.n, table, "--j/--k",
+                  lambda: f"cohomology of O({args.j}) (x) pi*O({args.k}) on side {args.side}:",
+                  j=args.j, k=args.k)
 
 
-def _cmd_functor(args, config, out):
-    n = args.n
-    if args.name == "phiprime":
-        source = XLineBundle(ModelVariety(n, Side.X_PLUS), args.j, args.k)
-        image = flop.apply_phi_prime(source)
-        payload = {"tag": "line", "j": image.j, "k": image.k}
-        text = f"phiprime({args.j},{args.k}) = O({image.j}) (x) pi*O({image.k}) on x"
-    else:
-        source = XLineBundle(ModelVariety(n, Side.X), args.j, args.k)
-        if args.name == "phi":
-            image = flop.apply_phi(source)
-            payload = {
-                "tag": image.kind.value,
-                "j": image.bundle.j,
-                "k": image.bundle.k,
-            }
-            suffix = " (x) I_Y+" if image.kind is flop.ImageKind.IDEAL_TWIST else ""
-            text = (
-                f"phi({args.j},{args.k}) = O({image.bundle.j}) (x) "
-                f"pi*O({image.bundle.k}){suffix} on xplus"
-            )
-        else:
-            image = flop.apply_psi(source)
-            payload = {"tag": "line", "j": image.j, "k": image.k}
-            text = f"psi({args.j},{args.k}) = O({image.j}) (x) pi*O({image.k}) on xplus"
-    if config.output_format == "json":
-        emit_json(payload, out)
-    else:
-        print(text, file=out)
-    return 0
+_FUNCTORS = {"phi": flop.apply_phi, "phiprime": flop.apply_phi_prime, "psi": flop.apply_psi}
 
 
-def _cmd_flop(args, config, out):
+def _cmd_functor(args, config):
+    side = Side.X_PLUS if args.name == "phiprime" else Side.X
+    image = _FUNCTORS[args.name](XLineBundle(ModelVariety(args.n, side), args.j, args.k))
+    kind, line = (image.kind, image.bundle) if args.name == "phi" else (flop.ImageKind.LINE, image)
+    suffix = " (x) I_Y+" if kind is flop.ImageKind.IDEAL_TWIST else ""
+    return Report(
+        {"tag": kind.value, "j": line.j, "k": line.k},
+        lambda: [f"{args.name}({args.j},{args.k}) = O({line.j}) (x) pi*O({line.k})"
+                 f"{suffix} on {line.variety.side.value}"],
+        blame="--j/--k",
+    )
+
+
+def _cmd_flop(args, config):
     pic = flop.phi_pullback(args.n)
-    if config.output_format == "json":
-        emit_json(
-            {
-                "n": args.n,
-                "matrix": [list(r) for r in pic.rows],
-                "involution": pic.is_involution(),
-            },
-            out,
-        )
-    else:
-        print(f"picard transport for n={args.n} in the (j, k) basis:", file=out)
-        for row in pic.rows:
-            print(f"  {list(row)}", file=out)
-        print(f"involution: {pic.is_involution()}", file=out)
-    return 0
+    involution = pic.is_involution()
+    return Report(
+        {"n": args.n, "matrix": pic.rows, "involution": involution},
+        lambda: [f"picard transport for n={args.n} in the (j, k) basis:",
+                 *(f"  {list(row)}" for row in pic.rows),
+                 f"involution: {involution}"],
+    )
 
 
-def _cmd_koszul(args, config, out):
+def _cmd_koszul(args, config):
     res = homalg.koszul_resolution(args.n)
-    if config.output_format == "json":
-        emit_json(
-            {
-                "n": args.n,
-                "terms": [
-                    {
-                        "p": t.p,
-                        "j": t.line_class.j,
-                        "theta_wedge": t.theta_wedge.literal(),
-                        "rank": t.rank,
-                    }
-                    for t in res.terms
-                ],
-                "alternating_rank_sum": res.alternating_rank_sum(),
-            },
-            out,
-        )
-    else:
-        print(f"resolution of the ideal sheaf for n={args.n}:", file=out)
-        for t in res.terms:
-            print(
-                f"  p={t.p}: O({t.line_class.j}) (x) pi*Wedge^{t.p}(Theta) "
-                f"[weight {t.theta_wedge.literal()}, rank {t.rank}]",
-                file=out,
-            )
-        print(f"alternating rank sum = {res.alternating_rank_sum()}", file=out)
-    return 0
+    total = res.alternating_rank_sum()
+    terms = [{"p": t.p, "j": t.line_class.j, "theta_wedge": t.theta_wedge.literal(),
+              "rank": t.rank} for t in res.terms]
+    return Report(
+        {"n": args.n, "terms": terms, "alternating_rank_sum": total},
+        lambda: [f"resolution of the ideal sheaf for n={args.n}:",
+                 *(f"  p={t['p']}: O({t['j']}) (x) pi*Wedge^{t['p']}(Theta) "
+                   f"[weight {t['theta_wedge']}, rank {t['rank']}]" for t in terms),
+                 f"alternating rank sum = {total}"],
+    )
 
 
-def _cmd_ext(args, config, out):
+def _cmd_ext(args, config):
     if args.what == "oy-oy":
-        if config.trace:
+        if args.trace:
             raise UsageError("--trace only applies to 'ext ideal-self'")
-        table = homalg.ext_table_OY(args.n)
-        if config.output_format == "json":
-            emit_json(table_payload(args.n, table), out)
-        else:
-            print(f"Ext^i(O_Y, O_Y) on the 2n-fold, n={args.n}:", file=out)
-            for i, d in table.dims().items():
-                print(f"Ext^{i} = {d}", file=out)
-        return 0
+        return _table(args.n, homalg.ext_table_OY(args.n), "--n",
+                      lambda: f"Ext^i(O_Y, O_Y) on the 2n-fold, n={args.n}:", row="Ext^{} = {}")
     if args.n != 2:
         raise UsageError("ext ideal-self is only computed at --n 2")
     value = homalg.ext2_ideal_self(2)
-    if config.trace:
-        for name, steps in homalg.ext2_ideal_self_trace(2):
-            for label, rule, solved in steps:
-                print(f"[{name}] {label}: {rule} -> {solved}", file=out)
-    if config.output_format == "json":
-        emit_json({"n": 2, "ext2_ideal_self": value}, out)
-    else:
-        print(f"Ext^2(I, I) = {value}", file=out)
-    return 0
+    trace = ()
+    if args.trace:
+        trace = tuple(f"[{name}] {label}: {rule} -> {solved}"
+                      for name, steps in homalg.ext2_ideal_self_trace(2)
+                      for label, rule, solved in steps)
+    return Report({"n": 2, "ext2_ideal_self": value}, lambda: [f"Ext^2(I, I) = {value}"],
+                  trace=trace)
 
 
-def _render_verify_text(results):
-    lines = [f"{r.check_id} n={r.n}: {r.status.value}" for r in results]
-    counts = {s.value: sum(1 for r in results if r.status is s) for s in verify.Status}
-    lines.append(
-        f"total: {len(results)} checks, {counts['PASS']} pass, "
-        f"{counts['FAIL']} fail, {counts['UNDERDETERMINED']} underdetermined"
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _render_verify_markdown(results):
-    lines = ["# Verification report", ""]
-    for r in results:
-        lines.append(f"## {r.check_id} (n={r.n}): {r.status.value}")
-        lines.append("")
-        lines.append("| key | value |")
-        lines.append("| --- | --- |")
-        for key in sorted(r.evidence):
-            lines.append(f"| {key} | {r.evidence[key]!r} |")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _render_verify_json(results):
-    payload = [
-        {
-            "check_id": r.check_id,
-            "n": r.n,
-            "status": r.status.value,
-            "evidence": {k: _jsonable(v) for k, v in sorted(r.evidence.items())},
-        }
-        for r in results
-    ]
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _cmd_verify(args, config, out):
+def _cmd_verify(args, config):
     if args.check == "all":
         if args.n is not None:
             raise UsageError("--n does not apply to 'verify all'; use --max-n")
@@ -380,47 +278,73 @@ def _cmd_verify(args, config, out):
             raise UsageError(f"{args.check} is pinned to n = 2, got --n {shorten(str(n))}")
         results = [verify.run_check(args.check, n)]
     else:
-        raise UsageError(
-            f"unknown check {shorten(args.check, repr)}; "
-            f"known: all, {', '.join(verify.ALL_CHECK_IDS)}"
-        )
-    if config.output_format == "json":
-        report = _render_verify_json(results)
-    elif config.output_format == "markdown":
-        report = _render_verify_markdown(results)
-    else:
-        report = _render_verify_text(results)
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    else:
-        out.write(report)
-    return verify.exit_code(results)
+        raise UsageError(f"unknown check {shorten(args.check, repr)}; "
+                         f"known: all, {', '.join(verify.ALL_CHECK_IDS)}")
+
+    def text():
+        count = Counter(r.status.value for r in results)
+        return [*(f"{r.check_id} n={r.n}: {r.status.value}" for r in results),
+                f"total: {len(results)} checks, {count['PASS']} pass, {count['FAIL']} fail, "
+                f"{count['UNDERDETERMINED']} underdetermined"]
+
+    def markdown():
+        lines = ["# Verification report"]
+        for r in results:
+            lines += ["", f"## {r.check_id} (n={r.n}): {r.status.value}", "",
+                      "| key | value |", "| --- | --- |"]
+            lines += [f"| {key} | {r.evidence[key]!r} |" for key in sorted(r.evidence)]
+        return lines
+
+    payload = [{"check_id": r.check_id, "n": r.n, "status": r.status.value,
+                "evidence": r.evidence} for r in results]
+    return Report(payload, text, markdown, verify.exit_code(results))
 
 
-_COMMANDS = {
-    "bott": _cmd_bott,
-    "cohomology": _cmd_cohomology,
-    "functor": _cmd_functor,
-    "flop": _cmd_flop,
-    "koszul": _cmd_koszul,
-    "ext": _cmd_ext,
-    "verify": _cmd_verify,
-}
+def _jsonable(value):
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def render(report, output_format, out_path):
+    """Write ``report`` once, all of it or (on a usage error) none of it: its
+    trace lines, then the report as JSON, Markdown or text, to ``out_path``
+    or stdout.  A number with more digits than Python converts to text
+    (``sys.get_int_max_str_digits``) is blamed on the report's flags."""
+    try:
+        if output_format == "json":
+            body = [json.dumps(_jsonable(report.payload), sort_keys=True, separators=(",", ":"))]
+        elif output_format == "markdown" and report.markdown:
+            body = report.markdown()
+        else:
+            body = report.text()
+        text = "".join(f"{line}\n" for line in (*report.trace, *body))
+    except ValueError:
+        message = "a number in the result has too many digits to print"
+        raise UsageError(f"{report.blame} too large: {message}") from None
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {shorten(out_path, repr)}: {exc.strerror}") from None
+
+
+_COMMANDS = {"bott": _cmd_bott, "cohomology": _cmd_cohomology, "functor": _cmd_functor,
+             "flop": _cmd_flop, "koszul": _cmd_koszul, "ext": _cmd_ext, "verify": _cmd_verify}
 
 
 def main(argv=None):
-    # the whole report is rendered before any of it is written, so a
-    # command that fails leaves stdout empty
-    out = io.StringIO()
     try:
         args = build_parser().parse_args(argv)
         config = build_config(args)
-        code = _COMMANDS[args.command](args, config, out)
-    except UsageError as exc:
-        print(f"flopcalc: error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, flop.FunctorRangeError) as exc:
+        report = _COMMANDS[args.command](args, config)
+        render(report, config.output_format, getattr(args, "out", None))
+    except (UsageError, ValueError) as exc:  # FunctorRangeError is a ValueError
         print(f"flopcalc: error: {exc}", file=sys.stderr)
         return 2
     except homalg.ChaseUnderdeterminedError as exc:
@@ -429,8 +353,7 @@ def main(argv=None):
     except homalg.ChaseInconsistencyError as exc:
         print(f"flopcalc: inconsistent: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(out.getvalue())
-    return code
+    return report.code
 
 
 if __name__ == "__main__":

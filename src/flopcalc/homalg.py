@@ -88,13 +88,6 @@ class ChaseSystem:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate labels in system {self.name!r}")
 
-    def with_dim(self, label, dim):
-        """Copy of the system with one term's dimension replaced."""
-        terms = tuple(
-            ChaseTerm(t.label, dim) if t.label == label else t for t in self.terms
-        )
-        return ChaseSystem(self.name, terms)
-
 
 @dataclass(frozen=True)
 class ChaseSolution:
@@ -102,10 +95,6 @@ class ChaseSolution:
     values: dict
     unsolved: tuple[str, ...]
     trace: tuple[tuple[str, str, int], ...]
-
-    @property
-    def fully_solved(self):
-        return not self.unsolved
 
     def require(self, label):
         if label in self.values and self.values[label] is not None:

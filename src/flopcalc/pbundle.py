@@ -101,10 +101,6 @@ class ModelVariety:
         if self.n < 2:
             raise ValueError(f"the model needs n >= 2, got n={self.n}")
 
-    @property
-    def dim(self):
-        return 2 * self.n
-
 
 @dataclass(frozen=True)
 class XLineBundle:
@@ -251,10 +247,6 @@ def _add_run(w, first, last, dims):
 def hom_dims(a, b):
     """Hom^i(a, b) of line-bundle classes: cohomology of the difference b - a."""
     return cohomology_X(b - a)
-
-
-def euler_char(lb):
-    return cohomology_X(lb).euler()
 
 
 def structure_cohomology(variety):

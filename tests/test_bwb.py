@@ -17,7 +17,6 @@ from flopcalc.bwb import (
     form_bundle,
     levi_rank,
     line_bundle,
-    normalize,
     parse_weight,
     serre_dual,
     structure_sheaf,
@@ -109,7 +108,7 @@ class TestBottCohomology:
 
     def test_degree_bounded_by_dimension(self):
         for w in small_weights(2, 4):
-            assert bott_cohomology(w).max_degree() <= w.n
+            assert max(bott_cohomology(w).dims(), default=0) <= w.n
 
 
 class TestWeylDim:
@@ -187,6 +186,13 @@ class TestSymPowers:
             tensor_with_sym(structure_sheaf(2), -1)
 
 
+def normalize(w):
+    """Shift lam so its last entry is 0, absorbing the determinant into t:
+    ``(lam + c, t + c)`` and ``(lam, t)`` name the same bundle, as det Q is O(1)."""
+    c = w.lam[-1]
+    return LeviWeight(w.n, tuple(a - c for a in w.lam), w.t - c)
+
+
 class TestExteriorPowers:
     def test_anchors(self):
         assert exterior_power_theta(0, 3) == structure_sheaf(3)
@@ -233,7 +239,7 @@ class TestPieri:
         for w in list(small_weights(n, 2))[::7]:
             for a in range(4):
                 expect = levi_rank(w) * comb(a + n - 1, a)
-                assert tensor_with_sym(w, a).rank() == expect
+                assert sum(map(levi_rank, tensor_with_sym(w, a).summands)) == expect
 
     def test_matches_brute_force_horizontal_strips(self):
         # mu interlaces lam (lam_i <= mu_i <= lam_{i-1}) and has a more boxes

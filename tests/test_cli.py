@@ -55,6 +55,12 @@ class TestBott:
         assert "too long" in err
 
 
+# phi's image has j + k = -(10^4300 - 1) - (10^4300 - 2), a number of 4301 digits
+FUNCTOR_PAST_THE_LIMIT = [
+    "functor", "phi", "--n", "9" * 4300, "--j", "-" + "9" * 4300, "--k", "-" + "9" * 4299 + "8",
+]
+
+
 class TestCohomology:
     def test_acyclic_class(self, capsys):
         code, out, _ = run(
@@ -84,11 +90,13 @@ class TestCohomology:
             (["cohomology", "--n", "3", "--j", "1" + "0" * 1000, "--k", "0", "--json"],
              "--j/--k"),
             (["bott", "--n", "2", "--weight", "1" + "0" * 2500 + ",0|0"], "--weight"),
+            (FUNCTOR_PAST_THE_LIMIT, "--j/--k"),
+            (FUNCTOR_PAST_THE_LIMIT + ["--json"], "--j/--k"),
         ],
-        ids=["cohomology-text", "cohomology-json", "bott-text"],
+        ids=["cohomology-text", "cohomology-json", "bott-text", "functor-text", "functor-json"],
     )
     def test_dimension_past_the_digit_limit_is_usage_error(self, capsys, argv, flag):
-        # the table is computed, but a dimension has over 4300 digits
+        # the result is computed, but a number in it has over 4300 digits
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -103,6 +111,8 @@ class TestCohomology:
         assert out == ""
         assert err.count("\n") == 1 and len(err) <= 200
         assert "--j" in err
+        assert "too long" in err
+        assert "invalid int value" not in err
 
 
 class TestFunctor:
@@ -330,8 +340,12 @@ NINES = "9" * 4300   # int() still reads it
         ["bott", "--n", "3", "--weight", NINES + ",0|0"],
         ["verify", "lemma-2-1", "--n", NINES],
         ["verify", "x" * 4300],
+        ["functor", "x" * 4300, "--n", "2", "--j", "0", "--k", "0"],
+        ["ext", "x" * 4300, "--n", "2"],
+        ["cohomology", "--n", "2", "--side", "x" * 4300, "--j", "0", "--k", "0"],
     ],
-    ids=["phi", "phiprime", "psi", "psi-n", "bott-length", "verify-pinned", "verify-unknown"],
+    ids=["phi", "phiprime", "psi", "psi-n", "bott-length", "verify-pinned", "verify-unknown",
+         "functor-choice", "ext-choice", "cohomology-side-choice"],
 )
 def test_overlong_input_is_not_echoed(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -339,6 +353,21 @@ def test_overlong_input_is_not_echoed(capsys, argv):
     assert out == ""
     assert err.count("\n") == 1 and len(err) <= 200
     assert "... (43" in err
+
+
+def test_short_invalid_choice_keeps_the_argparse_message(capsys):
+    code, out, err = run(capsys, "functor", "xyz", "--n", "2", "--j", "0", "--k", "0")
+    assert code == 2
+    assert out == ""
+    assert "argument name: invalid choice: 'xyz'" in err
+
+
+def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "absent" / "report.md"
+    code, out, err = run(capsys, "verify", "lemma-1-3", "--markdown", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert "--out" in err and err.count("\n") == 1
 
 
 def test_shared_parser_keeps_no_state(capsys, tmp_path, monkeypatch):

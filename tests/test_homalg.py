@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flopcalc import homalg
-from flopcalc.bwb import levi_rank, line_bundle, normalize
+from flopcalc.bwb import LeviWeight, levi_rank, line_bundle
 from flopcalc.homalg import (
     ChaseInconsistencyError,
     ChaseSystem,
@@ -38,7 +39,7 @@ class TestChaseSolve:
     def test_two_term_exactness(self):
         sol = chase_solve(system(0, None, 5, 0))
         assert sol.values["T1"] == 5
-        assert sol.fully_solved
+        assert not sol.unsolved
 
     def test_flanked_by_zeros(self):
         sol = chase_solve(system(0, None, 0))
@@ -116,8 +117,11 @@ class TestKoszulResolution:
         res = koszul_resolution(2)
         assert [t.p for t in res.terms] == [2, 1]
         assert [t.line_class.j for t in res.terms] == [-2, -1]
-        # Wedge^2 Theta on P^2 is O(3)
-        assert normalize(res.terms[0].theta_wedge) == line_bundle(2, 3)
+        # Wedge^2 Theta on P^2 is O(3): shifting lam to end in 0 moves the
+        # determinant into the twist
+        w = res.terms[0].theta_wedge
+        c = w.lam[-1]
+        assert LeviWeight(2, tuple(a - c for a in w.lam), w.t - c) == line_bundle(2, 3)
         assert res.terms[1].theta_wedge.literal() == "1,0|-1"
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -232,12 +236,15 @@ class TestIdealSelfExt:
 
     def test_centre_ext_intermediates(self):
         sol = chase_solve(ext_centre_vs_ideal_system(2))
-        assert sol.fully_solved
+        assert not sol.unsolved
         assert sol.values["Ext^2(O_Y,I)"] == 0
         assert sol.values["Ext^3(O_Y,I)"] == 1
 
     def test_perturbed_input_is_inconsistent(self):
-        bad = ideal_cohomology_system(2).with_dim("h^4(O_Y)", 1)
+        system = ideal_cohomology_system(2)
+        bad = replace(system, terms=tuple(
+            replace(t, dim=1) if t.label == "h^4(O_Y)" else t for t in system.terms
+        ))
         with pytest.raises(ChaseInconsistencyError):
             chase_solve(bad)
         with pytest.raises(ChaseInconsistencyError):
