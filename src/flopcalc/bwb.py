@@ -17,8 +17,11 @@ Cohomology is concentrated in at most one degree: append ``t`` to ``lam``,
 add the staircase vector ``rho = (n, ..., 1, 0)``, and either two entries
 collide (no cohomology at all) or the number of inversions needed to sort
 the result strictly decreasing is the one degree carrying sections, whose
-dimension is a Weyl dimension.  All arithmetic is exact; dimensions are
-plain Python integers of unbounded size.
+dimension is a Weyl dimension.  As ``lam`` is non-increasing, the degree
+is the count of entries below ``t``, found in O(n) steps; the Weyl product
+runs over pairs of blocks of equal entries (see ``weyl_dim``), so the cost
+is polynomial in n.  All arithmetic is exact; dimensions are plain Python
+integers of unbounded size.
 
 Every function here is pure and every value immutable, so the module is
 safe to use from concurrent code without locking.
@@ -30,6 +33,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 
 @dataclass(frozen=True)
@@ -162,19 +166,49 @@ EMPTY_TABLE = CohomologyTable(())
 def weyl_dim(mu):
     """Dimension of the GL(len(mu)) representation with highest weight mu.
 
-    The product of (mu_i - mu_j + j - i)/(j - i) over i < j, taken as
-    integer products, one exact division.  A non-dominant mu gets the same
-    product, which may then be zero or negative.
+    Weyl's product of (mu_i - mu_j + j - i)/(j - i) over i < j, taken block
+    by block: pairs inside a run of equal entries give 1, and for runs of
+    values v > w at [a, b) and [c, d), with e = v - w, the pairs of index i
+    multiply to C(e + d - 1 - i, e) / C(e + c - 1 - i, e), taken over the
+    shorter run.  Numerators and denominators are integer products with one
+    exact division.  A non-dominant mu gets the same product: mu + rho
+    either collides (0) or sorts to a dominant weight, whose dimension is
+    signed by the parity of the sort.
 
     >>> weyl_dim((1, 0, -1))   # adjoint representation of GL(3)
     8
     >>> weyl_dim((0, 2))       # not dominant: -1
     -1
     """
+    m = len(mu)
+    blocks, start = [], 0
+    for i in range(1, m):
+        if mu[i] < mu[i - 1]:
+            blocks.append((start, i))
+            start = i
+        elif mu[i] > mu[i - 1]:   # not dominant: sort mu + rho
+            shifted = [v + m - 1 - k for k, v in enumerate(mu)]
+            if len(set(shifted)) < m:
+                return 0
+            sign = (-1) ** sum(x < y for x, y in combinations(shifted, 2))
+            shifted.sort(reverse=True)
+            return sign * weyl_dim(tuple(x - m + 1 + k for k, x in enumerate(shifted)))
+    blocks.append((start, m))
     num = den = 1
-    for i, j in combinations(range(len(mu)), 2):
-        num *= mu[i] - mu[j] + j - i
-        den *= j - i
+    for x, (a, b) in enumerate(blocks, 1):
+        for c, d in blocks[x:]:
+            e = mu[a] - mu[c]
+            if b - a == d - c == 1:   # two single entries: their one pair factor
+                num *= e + c - a
+                den *= c - a
+            elif b - a <= d - c:
+                for i in range(a, b):
+                    num *= comb(e + d - 1 - i, e)
+                    den *= comb(e + c - 1 - i, e)
+            else:
+                for j in range(c, d):
+                    num *= comb(e + j - a, e)
+                    den *= comb(e + j - b, e)
     dim, rem = divmod(num, den)
     if rem:
         raise ArithmeticError(f"Weyl dimension of {mu} is not integral: {num}/{den}")
@@ -189,16 +223,17 @@ def levi_rank(w):
 @lru_cache(maxsize=None)
 def bott_cohomology(w):
     """Full cohomology table of a LeviWeight; at most one degree is nonzero."""
-    alpha = w.lam + (w.t,)
-    rho = tuple(range(w.n, -1, -1))
-    beta = tuple(a + r for a, r in zip(alpha, rho))
-    if len(set(beta)) < len(beta):
+    lam, t, n = w.lam, w.t, w.n
+    # beta_i = lam_i + n - i strictly decreases for i < n, so the degree is
+    # the number of those below beta_n = t, counted up from the bottom row
+    below = 0
+    while below < n and lam[n - 1 - below] + 1 + below < t:
+        below += 1
+    if below < n and lam[n - 1 - below] + 1 + below == t:
         return EMPTY_TABLE
-    inversions = sum(
-        1 for i, j in combinations(range(len(beta)), 2) if beta[i] < beta[j]
-    )
-    mu = tuple(b - r for b, r in zip(sorted(beta, reverse=True), rho))
-    return CohomologyTable.from_dict({inversions: weyl_dim(mu)})
+    cut = n - below
+    mu = lam[:cut] + (t - below,) + tuple(a + 1 for a in lam[cut:])
+    return CohomologyTable.from_dict({below: weyl_dim(mu)})
 
 
 def cohomology_sum(bundle):

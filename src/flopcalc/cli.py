@@ -42,9 +42,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.max_n < 2:
-            raise UsageError(f"max_n must be >= 2, got {self.max_n}")
+            raise UsageError(f"max_n must be >= 2, got {shorten(str(self.max_n))}")
         if self.output_format not in ("text", "json", "markdown"):
-            raise UsageError(f"unknown output format {self.output_format!r}")
+            raise UsageError(f"unknown output format {shorten(self.output_format, repr)}")
 
 
 def load_config_file(path):
@@ -54,7 +54,7 @@ def load_config_file(path):
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
+        raise UsageError(f"cannot read config file {shorten(path, repr)}: {exc.strerror}") from None
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -62,16 +62,14 @@ def load_config_file(path):
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep:
-            raise UsageError(f"config line {line!r} is not key=value")
+            raise UsageError(f"config line {shorten(line, repr)} is not key=value")
         if key == "max_n":
-            try:
-                overrides["max_n"] = int(value)
-            except ValueError:
-                raise UsageError(f"config max_n value {value!r} is not an integer") from None
+            invalid = f"config max_n value {shorten(value, repr)} is not an integer"
+            overrides["max_n"] = read_int(value, invalid, "config max_n value")
         elif key == "format":
             overrides["output_format"] = value
         else:
-            raise UsageError(f"unknown config key {key!r}")
+            raise UsageError(f"unknown config key {shorten(key, repr)}")
     return overrides
 
 

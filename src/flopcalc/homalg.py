@@ -104,14 +104,10 @@ class ChaseSolution:
         )
 
 
-def _segments(labels, values):
-    """Maximal runs of labels strictly between two known-zero terms."""
-    zero_at = [i for i, lab in enumerate(labels) if values[lab] == 0]
-    runs = []
-    for left, right in zip(zero_at, zero_at[1:]):
-        if right - left > 1:
-            runs.append(labels[left + 1 : right])
-    return runs
+def _segments(dims):
+    """(lo, hi) index ranges of the maximal runs between two known-zero terms."""
+    zero_at = [i for i, d in enumerate(dims) if d == 0]
+    return [(left + 1, right) for left, right in zip(zero_at, zero_at[1:]) if right - left > 1]
 
 
 def chase_solve(system, reverse=False):
@@ -121,62 +117,55 @@ def chase_solve(system, reverse=False):
     fixpoint must not depend on the order, which tests assert.
     """
     labels = [t.label for t in system.terms]
-    values = {t.label: t.dim for t in system.terms}
+    dims = [t.dim for t in system.terms]
     trace = []
-
-    def check_consistency():
-        for seg in _segments(labels, values):
-            if any(values[lab] is None for lab in seg):
-                continue
-            total = sum((-1) ** i * values[lab] for i, lab in enumerate(seg))
-            if total != 0:
-                raise ChaseInconsistencyError(
-                    f"{system.name}: zero-flanked segment {seg} has alternating "
-                    f"sum {total}, exactness fails"
-                )
 
     changed = True
     while changed:
         changed = False
-        check_consistency()
+        for lo, hi in _segments(dims):
+            seg = dims[lo:hi]
+            if None in seg:
+                continue
+            total = sum(seg[0::2]) - sum(seg[1::2])
+            if total != 0:
+                raise ChaseInconsistencyError(
+                    f"{system.name}: zero-flanked segment {labels[lo:hi]} has alternating "
+                    f"sum {total}, exactness fails"
+                )
 
-        order = range(len(labels))
+        order = range(1, len(dims) - 1)
         if reverse:
             order = reversed(order)
         for i in order:
-            lab = labels[i]
-            if values[lab] is not None:
-                continue
-            left_zero = i > 0 and values[labels[i - 1]] == 0
-            right_zero = i + 1 < len(labels) and values[labels[i + 1]] == 0
-            if left_zero and right_zero:
-                values[lab] = 0
-                trace.append((lab, "flanked-by-zeros", 0))
+            if dims[i] is None and dims[i - 1] == 0 and dims[i + 1] == 0:
+                dims[i] = 0
+                trace.append((labels[i], "flanked-by-zeros", 0))
                 changed = True
 
-        segs = _segments(labels, values)
+        segs = _segments(dims)
         if reverse:
-            segs = list(reversed(segs))
-        for seg in segs:
-            open_labels = [lab for lab in seg if values[lab] is None]
-            if len(open_labels) != 1:
+            segs.reverse()
+        for lo, hi in segs:
+            seg = dims[lo:hi]
+            if seg.count(None) != 1:
                 continue
-            lab = open_labels[0]
-            pos = seg.index(lab)
-            rest = sum(
-                (-1) ** i * values[l] for i, l in enumerate(seg) if l != lab
-            )
+            pos = seg.index(None)
+            seg[pos] = 0
+            rest = sum(seg[0::2]) - sum(seg[1::2])
             solved = -rest if pos % 2 == 0 else rest
             if solved < 0:
                 raise ChaseInconsistencyError(
-                    f"{system.name}: segment {seg} forces {lab} = {solved} < 0"
+                    f"{system.name}: segment {labels[lo:hi]} forces {labels[lo + pos]} = "
+                    f"{solved} < 0"
                 )
-            values[lab] = solved
-            trace.append((lab, "alternating-sum", solved))
+            dims[lo + pos] = solved
+            trace.append((labels[lo + pos], "alternating-sum", solved))
             changed = True
 
-    check_consistency()
-    unsolved = tuple(lab for lab in labels if values[lab] is None)
+    # the last round changed nothing, so its opening check covers the fixpoint
+    values = dict(zip(labels, dims))
+    unsolved = tuple(lab for lab, d in zip(labels, dims) if d is None)
     return ChaseSolution(system, values, unsolved, tuple(trace))
 
 
@@ -381,23 +370,25 @@ def ext_ideal_self_system(n=2):
     The two feeder systems are solved first; any value they leave unknown is
     carried into this system as an unknown, not silently zeroed.
     """
-    centre = chase_solve(ext_centre_vs_ideal_system(n)).values
-    ideal = chase_solve(ideal_cohomology_system(n)).values
+    return _ideal_self_systems(n)[2]
+
+
+def _ideal_self_systems(n):
+    """The h^i(I), Ext^i(O_Y, I) and Ext^i(I, I) systems, each feeder built once."""
+    ideal_system, centre_system = ideal_cohomology_system(n), ext_centre_vs_ideal_system(n)
+    centre = chase_solve(centre_system).values
+    ideal = chase_solve(ideal_system).values
     degrees = range(2 * n + 1)
-    return long_exact_system(f"ext-ideal-self-n{n}", n, (
+    return [ideal_system, centre_system, long_exact_system(f"ext-ideal-self-n{n}", n, (
         ("Ext^{i}(O_Y,I)", {i: centre[f"Ext^{i}(O_Y,I)"] for i in degrees}),
         ("h^{i}(I)", {i: ideal[f"h^{i}(I)"] for i in degrees}),
         ("Ext^{i}(I,I)", None),
-    ))
-
-
-_IDEAL_SELF_SYSTEMS = (ideal_cohomology_system, ext_centre_vs_ideal_system, ext_ideal_self_system)
+    ))]
 
 
 def reference_chase_systems(n=2):
     """Every system this module assembles for its own computations."""
-    systems = [build(n) for build in _IDEAL_SELF_SYSTEMS]
-    return systems + [restriction_chase_system(p, n) for p in range(1, n + 1)]
+    return _ideal_self_systems(n) + [restriction_chase_system(p, n) for p in range(1, n + 1)]
 
 
 def ext2_ideal_self(n=2):
@@ -414,4 +405,4 @@ def ext2_ideal_self(n=2):
 
 def ext2_ideal_self_trace(n=2):
     """The chase traces behind ext2_ideal_self, for reporting."""
-    return [(s.name, chase_solve(s).trace) for s in (b(n) for b in _IDEAL_SELF_SYSTEMS)]
+    return [(s.name, chase_solve(s).trace) for s in _ideal_self_systems(n)]

@@ -1,6 +1,8 @@
+import hashlib
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -111,6 +113,24 @@ class TestBottCohomology:
             assert max(bott_cohomology(w).dims(), default=0) <= w.n
 
 
+def pair_product(mu):
+    """Weyl's product over all pairs, as a Fraction that must come out whole."""
+    expected = Fraction(1)
+    for i, j in combinations(range(len(mu)), 2):
+        expected *= Fraction(mu[i] - mu[j] + j - i, j - i)
+    assert expected.denominator == 1
+    return expected
+
+
+@st.composite
+def block_weights(draw):
+    """A list made of a few runs of equal entries, at most 40 long in total."""
+    runs = draw(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 15)),
+                         min_size=1, max_size=5))
+    mu = [value for value, length in runs for _ in range(length)]
+    return mu[:40]
+
+
 class TestWeylDim:
     @given(st.lists(st.integers(-40, 40), min_size=1, max_size=9), st.booleans())
     @example([0, 1], False)   # a zero factor
@@ -119,11 +139,57 @@ class TestWeylDim:
     def test_matches_rational_product(self, mu, dominant):
         if dominant:
             mu = sorted(mu, reverse=True)
-        expected = Fraction(1)
-        for i, j in combinations(range(len(mu)), 2):
-            expected *= Fraction(mu[i] - mu[j] + j - i, j - i)
-        assert expected.denominator == 1
-        assert weyl_dim(tuple(mu)) == expected
+        assert weyl_dim(tuple(mu)) == pair_product(mu)
+
+    @given(block_weights(), st.sampled_from(["dominant", "shuffled", "as drawn"]), st.randoms())
+    @example([3] * 9 + [0] * 2, "dominant", Random(0))   # the upper run is the longer
+    @example([3] * 2 + [0] * 9, "dominant", Random(0))   # the lower run is the longer
+    @settings(max_examples=200)
+    def test_blocks_match_rational_product(self, mu, order, rng):
+        if order == "dominant":
+            mu.sort(reverse=True)
+        elif order == "shuffled":
+            rng.shuffle(mu)
+        assert weyl_dim(tuple(mu)) == pair_product(mu)
+
+    def test_anchors(self):
+        n = 400
+        assert all(weyl_dim((1,) * p + (0,) * (n - p)) == comb(n, p) for p in (0, 1, 7, 200, 399))
+        n = 300
+        assert all(weyl_dim((k,) + (0,) * (n - 1)) == comb(n - 1 + k, k) for k in (1, 5, 300))
+        assert weyl_dim((0, 0, 0, 3) + (1,) * 5) == 0   # mu + rho collides
+        assert weyl_dim((0, 0, 0, 6) + (1,) * 5) == pair_product((0, 0, 0, 6) + (1,) * 5) != 0
+
+
+class TestBottRegression:
+    # sha256 over (lam, t, entries) of every weight in bott_box, n = 2..12,
+    # recorded with the pairwise inversion count and Weyl product; entries
+    # -1..2 and t in -4..n+4 reach every degree 0..n and every collision
+    DIGEST = "52bc15a36ce1208a69edaf1e1d811c6149063756dbdb2d80f7b7d0c4ecff6696"
+
+    @staticmethod
+    def bott_box(n):
+        for lam in combinations_with_replacement(range(2, -2, -1), n):
+            for t in range(-4, n + 5):
+                yield LeviWeight(n, lam, t)
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        for n in range(2, 13):
+            for w in self.bott_box(n):
+                h.update(repr((w.lam, w.t, bott_cohomology(w).entries)).encode())
+        assert h.hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 12])
+    def test_degree_matches_sorting_beta(self, n):
+        for w in self.bott_box(n):
+            beta = [a + n - i for i, a in enumerate(w.lam + (w.t,))]
+            if len(set(beta)) < len(beta):
+                assert bott_cohomology(w).is_zero()
+                continue
+            inversions = sum(x < y for x, y in combinations(beta, 2))
+            mu = [b - (n - i) for i, b in enumerate(sorted(beta, reverse=True))]
+            assert bott_cohomology(w).dims() == {inversions: weyl_dim(tuple(mu))}
 
 
 class TestSerreDuality:

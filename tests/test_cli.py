@@ -303,6 +303,36 @@ class TestConfigHandling:
                            "--config", str(tmp_path / "absent.cfg"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ("k" * 3000 + " = 1\n", "config key 'kkkkkkkkkkkkkkkkkkkk'... (3000"),
+            ("max_n = " + "x" * 3000 + "\n", "max_n value 'xxxxxxxxxxxxxxxxxxxx'... (3000"),
+            pytest.param("max_n = " + "9" * 5000 + "\n", "max_n value of 5000 characters, too",
+                         marks=needs_digit_limit),
+            ("max_n = -" + "9" * 3000 + "\n", "got -9999999999999999999... (3001"),
+            ("format = " + "j" * 3000 + "\n", "output format 'jjjjjjjjjjjjjjjjjjjj'... (3000"),
+            ("l" * 3000 + "\n", "config line 'llllllllllllllllllll'... (3000"),
+        ],
+        ids=["key", "max_n", "max_n-digits", "max_n-small", "format", "line"],
+    )
+    def test_overlong_config_entry_is_not_echoed(self, capsys, tmp_path, text, shown):
+        cfg = tmp_path / "flopcalc.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "verify", "all", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert shown in err
+
+    def test_overlong_config_path_is_not_echoed(self, capsys, tmp_path):
+        path = str(tmp_path / ("p" * 3000))
+        code, out, err = run(capsys, "verify", "all", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert f"({len(path)} characters)" in err
+
 
 class TestOutputStability:
     def test_json_is_byte_identical_across_invocations(self, capsys):
