@@ -20,13 +20,16 @@ On top of the solver this module assembles:
     through the degenerate local-to-global spectral sequence whose second
     page ``{(p, q): dim}`` is h^p(P^n, Omega^q);
   * Ext groups of the Koszul terms against the ideal sheaf, by chasing the
-    restriction sequence of each term's dual;
+    restriction sequence of each term's dual; ``ext_locally_free_vs_ideal``
+    gives None for a degree the chase leaves open;
   * the self-Ext of the ideal sheaf in degree 2 at n = 2, the quantity
     separating the two pushpull functors.
 
 Every long exact sequence chased here, for h^i(I), Ext^i(O_Y, I),
 Ext^i(I, I) and Ext^i(E_p, I), comes from the one builder
-``long_exact_system``.
+``long_exact_system``.  Each reference system is built once and solved
+once per call: the solved h^i(I) and Ext^i(O_Y, I) systems fill in the
+Ext^i(I, I) system.
 
 >>> sys = long_exact_system("doc", 1, (("A^{i}", None), ("B^{i}", {0: 5}),
 ...                                    ("C^{i}", {})))
@@ -37,8 +40,8 @@ Ext^i(I, I) and Ext^i(E_p, I), comes from the one builder
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
+from typing import NamedTuple
 
 from .bwb import (
     CohomologyTable,
@@ -66,14 +69,9 @@ class DegeneracyUnjustifiedError(Exception):
     argument behind the Ext table does not apply."""
 
 
-@dataclass(frozen=True)
-class ChaseTerm:
+class ChaseTerm(NamedTuple):
     label: str
     dim: int | None  # None marks an unknown dimension
-
-    def __post_init__(self):
-        if self.dim is not None and self.dim < 0:
-            raise ValueError(f"term {self.label} has negative dimension {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,12 @@ class ChaseSystem:
     terms: tuple[ChaseTerm, ...]
 
     def __post_init__(self):
-        labels = [t.label for t in self.terms]
-        if len(set(labels)) != len(labels):
+        labels = set()
+        for label, dim in self.terms:
+            if dim is not None and dim < 0:
+                raise ValueError(f"term {label} has negative dimension {dim}")
+            labels.add(label)
+        if len(labels) != len(self.terms):
             raise ValueError(f"duplicate labels in system {self.name!r}")
 
 
@@ -116,8 +118,7 @@ def chase_solve(system, reverse=False):
     ``reverse=True`` processes rules and segments right to left; the
     fixpoint must not depend on the order, which tests assert.
     """
-    labels = [t.label for t in system.terms]
-    dims = [t.dim for t in system.terms]
+    labels, dims = map(list, zip(*system.terms)) if system.terms else ([], [])
     trace = []
 
     changed = True
@@ -195,11 +196,7 @@ class KoszulTerm:
     p: int
     line_class: XLineBundle
     theta_wedge: LeviWeight
-
-    @cached_property
-    def rank(self):
-        """Weyl dimension of the wedge weight, computed on first access only."""
-        return levi_rank(self.theta_wedge)
+    rank: int  # Weyl dimension of theta_wedge
 
 
 @dataclass(frozen=True)
@@ -235,10 +232,8 @@ class KoszulResolution:
 
 def koszul_resolution(n):
     variety = ModelVariety(n, Side.X_PLUS)
-    terms = tuple(
-        KoszulTerm(p, XLineBundle(variety, -p, 0), exterior_power_theta(p, n))
-        for p in range(n, 0, -1)
-    )
+    wedges = [(p, exterior_power_theta(p, n)) for p in range(n, 0, -1)]
+    terms = tuple(KoszulTerm(p, XLineBundle(variety, -p, 0), w, levi_rank(w)) for p, w in wedges)
     return KoszulResolution(n, terms)
 
 
@@ -292,24 +287,6 @@ def ext_OY_structure(n):
 # Ext of Koszul terms against the ideal sheaf (first route at n = 2)
 
 
-@dataclass(frozen=True)
-class PartialTable:
-    """Dimensions of degrees 0, 1, ... where the chase settled them, None
-    where it did not; every other degree is 0."""
-
-    dims: tuple[int | None, ...]
-
-    def get(self, degree):
-        return self.dims[degree] if 0 <= degree < len(self.dims) else 0
-
-    def is_known(self, degree):
-        return self.get(degree) is not None
-
-    @property
-    def unknown(self):
-        return frozenset(i for i, d in enumerate(self.dims) if d is None)
-
-
 def restriction_chase_system(p, n):
     """The long exact sequence computing Ext^i of the p-th Koszul term
     against the ideal sheaf, as a chase system.
@@ -331,19 +308,17 @@ def restriction_chase_system(p, n):
 
 
 def ext_locally_free_vs_ideal(p, n):
-    """Ext^i of the p-th Koszul term against the ideal sheaf, as far as the
-    chase determines it; undetermined degrees are reported, never guessed."""
-    solution = chase_solve(restriction_chase_system(p, n))
-    return PartialTable(
-        tuple(solution.values[f"Ext^{i}(E{p},I)"] for i in range(2 * n + 1))
-    )
+    """Ext^i of the p-th Koszul term against the ideal sheaf for i = 0..2n;
+    None marks a degree the chase leaves open, never guessed."""
+    values = chase_solve(restriction_chase_system(p, n)).values
+    return tuple(values[f"Ext^{i}(E{p},I)"] for i in range(2 * n + 1))
 
 
 # ---------------------------------------------------------------------------
 # self-Ext of the ideal sheaf in degree 2 at n = 2
 
 
-def ideal_cohomology_system(n=2):
+def ideal_cohomology_system(n):
     """h^i of the ideal sheaf from 0 -> I -> O_X -> O_Y -> 0."""
     variety = ModelVariety(n, Side.X_PLUS)
     x_table = cohomology_X(XLineBundle(variety, 0, 0))
@@ -355,7 +330,7 @@ def ideal_cohomology_system(n=2):
     ))
 
 
-def ext_centre_vs_ideal_system(n=2):
+def ext_centre_vs_ideal_system(n):
     """Ext^i(O_Y, I) chased through Ext^i(O_Y, O_X) and Ext^i(O_Y, O_Y)."""
     return long_exact_system(f"ext-centre-vs-ideal-n{n}", n, (
         ("Ext^{i}(O_Y,I)", None),
@@ -364,34 +339,28 @@ def ext_centre_vs_ideal_system(n=2):
     ))
 
 
-def ext_ideal_self_system(n=2):
-    """Ext^i(I, I) chased against Ext^i(O_Y, I) and h^i(I).
-
-    The two feeder systems are solved first; any value they leave unknown is
-    carried into this system as an unknown, not silently zeroed.
-    """
-    return _ideal_self_systems(n)[2]
-
-
-def _ideal_self_systems(n):
-    """The h^i(I), Ext^i(O_Y, I) and Ext^i(I, I) systems, each feeder built once."""
-    ideal_system, centre_system = ideal_cohomology_system(n), ext_centre_vs_ideal_system(n)
-    centre = chase_solve(centre_system).values
-    ideal = chase_solve(ideal_system).values
+def _ideal_self_chase(n):
+    """The solved h^i(I) and Ext^i(O_Y, I) systems, and the Ext^i(I, I)
+    system they feed; a value the feeders leave open is carried into it as
+    an unknown, not silently zeroed."""
+    ideal = chase_solve(ideal_cohomology_system(n))
+    centre = chase_solve(ext_centre_vs_ideal_system(n))
     degrees = range(2 * n + 1)
-    return [ideal_system, centre_system, long_exact_system(f"ext-ideal-self-n{n}", n, (
-        ("Ext^{i}(O_Y,I)", {i: centre[f"Ext^{i}(O_Y,I)"] for i in degrees}),
-        ("h^{i}(I)", {i: ideal[f"h^{i}(I)"] for i in degrees}),
+    return ideal, centre, long_exact_system(f"ext-ideal-self-n{n}", n, (
+        ("Ext^{i}(O_Y,I)", {i: centre.values[f"Ext^{i}(O_Y,I)"] for i in degrees}),
+        ("h^{i}(I)", {i: ideal.values[f"h^{i}(I)"] for i in degrees}),
         ("Ext^{i}(I,I)", None),
-    ))]
+    ))
 
 
-def reference_chase_systems(n=2):
+def reference_chase_systems(n):
     """Every system this module assembles for its own computations."""
-    return _ideal_self_systems(n) + [restriction_chase_system(p, n) for p in range(1, n + 1)]
+    ideal, centre, self_ext = _ideal_self_chase(n)
+    return [ideal.system, centre.system, self_ext] + [
+        restriction_chase_system(p, n) for p in range(1, n + 1)]
 
 
-def ext2_ideal_self(n=2):
+def ext2_ideal_self(n):
     """dim Ext^2(I, I), the degree-2 self-extension count of the ideal sheaf.
 
     Restricted to n = 2: the chase relies on vanishing specific to the
@@ -399,10 +368,10 @@ def ext2_ideal_self(n=2):
     """
     if n != 2:
         raise ValueError("the degree-2 self-Ext chase is specific to n = 2")
-    solution = chase_solve(ext_ideal_self_system(n))
-    return solution.require("Ext^2(I,I)")
+    return chase_solve(_ideal_self_chase(n)[2]).require("Ext^2(I,I)")
 
 
-def ext2_ideal_self_trace(n=2):
+def ext2_ideal_self_trace(n):
     """The chase traces behind ext2_ideal_self, for reporting."""
-    return [(s.name, chase_solve(s).trace) for s in _ideal_self_systems(n)]
+    ideal, centre, self_ext = _ideal_self_chase(n)
+    return [(s.system.name, s.trace) for s in (ideal, centre, chase_solve(self_ext))]

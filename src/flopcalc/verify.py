@@ -93,7 +93,7 @@ def verify_lemma_1_6(n):
     return CheckResult("lemma-1-6", n, Status.PASS, evidence)
 
 
-def verify_lemma_2_1(n=2):
+def verify_lemma_2_1(n):
     """First-route Ext entries against the ideal sheaf at n = 2.
 
     The decisive content is the nonzero Ext^1 of the top Koszul term; it
@@ -106,17 +106,17 @@ def verify_lemma_2_1(n=2):
     top = homalg.ext_locally_free_vs_ideal(2, n)
     bottom = homalg.ext_locally_free_vs_ideal(1, n)
     evidence = {
-        "ext1_wedge2_term": top.get(1),
-        "ext1_wedge1_term": "unknown" if not bottom.is_known(1) else bottom.get(1),
-        "unknown_degrees_wedge1": sorted(bottom.unknown),
-        "unknown_degrees_wedge2": sorted(top.unknown),
+        "ext1_wedge2_term": top[1],
+        "ext1_wedge1_term": "unknown" if bottom[1] is None else bottom[1],
+        "unknown_degrees_wedge1": [i for i, d in enumerate(bottom) if d is None],
+        "unknown_degrees_wedge2": [i for i, d in enumerate(top) if d is None],
     }
-    if not top.is_known(1):
+    if top[1] is None:
         return CheckResult("lemma-2-1", n, Status.UNDERDETERMINED, evidence)
-    if top.get(1) != 1:
-        return _fail("lemma-2-1", n, {"ext1_wedge2_term": top.get(1)}, **evidence)
-    if bottom.is_known(1) and bottom.get(1) != 0:
-        return _fail("lemma-2-1", n, {"ext1_wedge1_term": bottom.get(1)}, **evidence)
+    if top[1] != 1:
+        return _fail("lemma-2-1", n, {"ext1_wedge2_term": top[1]}, **evidence)
+    if bottom[1] not in (None, 0):
+        return _fail("lemma-2-1", n, {"ext1_wedge1_term": bottom[1]}, **evidence)
     return CheckResult("lemma-2-1", n, Status.PASS, evidence)
 
 
@@ -233,7 +233,7 @@ SWEPT_CHECKS = {
 }
 
 PINNED_CHECKS = {
-    "cor-2-2": lambda: verify_cor_2_2(),
+    "cor-2-2": verify_cor_2_2,
     "lemma-2-1": lambda: verify_lemma_2_1(2),
 }
 

@@ -83,8 +83,8 @@ class TestChaseSolve:
             ChaseSystem("dup", (ChaseTerm("A", 0), ChaseTerm("A", 1)))
 
     def test_negative_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            ChaseTerm("A", -1)
+        with pytest.raises(ValueError, match="negative dimension -1"):
+            ChaseSystem("neg", (ChaseTerm("A", -1),))
 
     @given(
         st.lists(st.integers(0, 5), min_size=0, max_size=6),
@@ -195,23 +195,22 @@ class TestExtAgainstStructure:
 class TestFirstRouteExt:
     def test_wedge2_term_has_one_dimensional_ext1(self):
         table = ext_locally_free_vs_ideal(2, 2)
-        assert table.get(1) == 1 and table.is_known(1)
+        assert table[1] == 1
 
     def test_wedge1_term_ext1_is_honestly_unknown(self):
         table = ext_locally_free_vs_ideal(1, 2)
-        assert not table.is_known(1)
-        assert table.get(1) is None
+        assert table[1] is None
 
     def test_known_zero_entries(self):
         t1 = ext_locally_free_vs_ideal(1, 2)
         t2 = ext_locally_free_vs_ideal(2, 2)
-        assert t1.get(0) == 1
-        assert t1.get(3) == 0 and t1.get(4) == 0
-        assert t2.get(0) == 0 and t2.get(4) == 0
-        assert not t2.is_known(2)
-        # degrees outside 0..2n are zero and known
-        assert t1.get(-1) == 0 and t1.get(5) == 0 and t1.is_known(5)
-        assert t1.unknown == frozenset({1, 2})
+        assert t1[0] == 1
+        assert t1[3] == 0 and t1[4] == 0
+        assert t2[0] == 0 and t2[4] == 0
+        assert t2[2] is None
+        # one entry per degree 0..2n
+        assert len(t1) == len(t2) == 5
+        assert [i for i, d in enumerate(t1) if d is None] == [1, 2]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -243,12 +242,29 @@ class TestIdealSelfExt:
     def test_perturbed_input_is_inconsistent(self):
         system = ideal_cohomology_system(2)
         bad = replace(system, terms=tuple(
-            replace(t, dim=1) if t.label == "h^4(O_Y)" else t for t in system.terms
+            t._replace(dim=1) if t.label == "h^4(O_Y)" else t for t in system.terms
         ))
         with pytest.raises(ChaseInconsistencyError):
             chase_solve(bad)
         with pytest.raises(ChaseInconsistencyError):
             chase_solve(bad, reverse=True)
+
+    @pytest.mark.parametrize("name, n, solves", [
+        ("ext2_ideal_self_trace", 2, 3),
+        ("ext2_ideal_self", 2, 3),
+        ("reference_chase_systems", 2, 2),
+        ("reference_chase_systems", 4, 2),
+    ])
+    def test_each_system_is_solved_once(self, monkeypatch, name, n, solves):
+        solved = []
+
+        def counting(system, reverse=False):
+            solved.append(system.name)
+            return chase_solve(system, reverse)
+
+        monkeypatch.setattr(homalg, "chase_solve", counting)
+        getattr(homalg, name)(n)
+        assert len(solved) == len(set(solved)) == solves
 
     def test_traces_name_the_solved_terms(self):
         traces = dict(ext2_ideal_self_trace(2))

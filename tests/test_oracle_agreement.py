@@ -6,7 +6,9 @@ code, so agreement across the sweeps below is the anti-hallucination check
 for the whole weight convention.
 """
 
+import ast
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,13 @@ from flopcalc.bwb import bott_cohomology, form_bundle, line_bundle, tangent_bund
 
 
 class TestOracleSelfChecks:
+    def test_imports_nothing_from_the_package(self):
+        tree = ast.parse((Path(__file__).parent / "cech_oracle.py").read_text(encoding="utf-8"))
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert modules and not [m for m in modules if m.split(".")[0] == "flopcalc"]
+
     def test_matrix_rank(self):
         assert matrix_rank([]) == 0
         assert matrix_rank([[0, 0]]) == 0

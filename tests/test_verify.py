@@ -1,6 +1,6 @@
 import pytest
 
-from flopcalc import flop, pbundle
+from flopcalc import flop, homalg, pbundle
 from flopcalc.flop import PicMap, apply_psi
 from flopcalc.pbundle import XLineBundle
 from flopcalc.verify import (
@@ -78,6 +78,28 @@ class TestIndividualSuites:
         with pytest.raises(ValueError):
             verify_lemma_2_1(3)
 
+    @pytest.mark.parametrize("p, ext1, status, counterexample, unknown", [
+        (2, None, Status.UNDERDETERMINED, None, [1, 2, 3]),
+        (2, 2, Status.FAIL, {"ext1_wedge2_term": 2}, [2, 3]),
+        (1, 3, Status.FAIL, {"ext1_wedge1_term": 3}, [2]),
+        (1, 0, Status.PASS, None, [2]),
+    ])
+    def test_lemma_2_1_negative_controls(self, monkeypatch, p, ext1, status, counterexample,
+                                         unknown):
+        # the chased Ext^1 of the p-th Koszul term is replaced by ext1
+        chased = homalg.ext_locally_free_vs_ideal
+
+        def patched(q, n):
+            table = chased(q, n)
+            return table[:1] + (ext1,) + table[2:] if q == p else table
+
+        monkeypatch.setattr(homalg, "ext_locally_free_vs_ideal", patched)
+        result = verify_lemma_2_1(2)
+        assert result.status is status
+        assert result.evidence.get("counterexample") == counterexample
+        assert result.evidence[f"ext1_wedge{p}_term"] == ext1
+        assert result.evidence[f"unknown_degrees_wedge{p}"] == unknown
+
     @pytest.mark.parametrize("n", [2, 5])
     def test_lemma_2_3(self, n):
         result = verify_lemma_2_3(n)
@@ -90,6 +112,15 @@ class TestIndividualSuites:
         assert (result.evidence["ext2_source"], result.evidence["ext2_image"]) == (0, 1)
         assert result.evidence["h2_structure_sheaf"] == 0
         assert result.evidence["ext_table_centre"] == {0: 1, 2: 1, 4: 1}
+
+    def test_cor_2_2_unsettled_chase(self, monkeypatch):
+        def unsettled(n):
+            raise homalg.ChaseUnderdeterminedError("the chase does not determine 'Ext^2(I,I)'")
+
+        monkeypatch.setattr(homalg, "ext2_ideal_self", unsettled)
+        result = verify_cor_2_2()
+        assert result.status is Status.UNDERDETERMINED
+        assert result.evidence == {"chase": "the chase does not determine 'Ext^2(I,I)'"}
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_lemma_3_4(self, n):
