@@ -253,12 +253,11 @@ def _cmd_ext(args, config):
                       lambda: f"Ext^i(O_Y, O_Y) on the 2n-fold, n={args.n}:", row="Ext^{} = {}")
     if args.n != 2:
         raise UsageError("ext ideal-self is only computed at --n 2")
-    value = homalg.ext2_ideal_self(2)
+    value, traces = homalg.ext2_ideal_self_with_trace(2)
     trace = ()
     if args.trace:
         trace = tuple(f"[{name}] {label}: {rule} -> {solved}"
-                      for name, steps in homalg.ext2_ideal_self_trace(2)
-                      for label, rule, solved in steps)
+                      for name, steps in traces for label, rule, solved in steps)
     return Report({"n": 2, "ext2_ideal_self": value}, lambda: [f"Ext^2(I, I) = {value}"],
                   trace=trace)
 

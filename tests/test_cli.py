@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from flopcalc import homalg
 from flopcalc.cli import main
 
 
@@ -184,6 +185,19 @@ class TestExt:
         code, out, _ = run(capsys, "ext", "ideal-self", "--n", "2", "--trace")
         assert code == 0
         assert "[ext-ideal-self-n2] Ext^2(I,I): alternating-sum -> 1" in out
+
+    def test_ideal_self_trace_solves_each_system_once(self, capsys, monkeypatch):
+        solved = []
+        chase_solve = homalg.chase_solve
+
+        def counting(system, reverse=False):
+            solved.append(system.name)
+            return chase_solve(system, reverse)
+
+        monkeypatch.setattr(homalg, "chase_solve", counting)
+        code, _, _ = run(capsys, "ext", "ideal-self", "--n", "2", "--trace")
+        assert code == 0
+        assert len(solved) == len(set(solved)) == 3
 
     def test_oy_oy_rejects_trace(self, capsys):
         code, out, err = run(capsys, "ext", "oy-oy", "--n", "3", "--trace")

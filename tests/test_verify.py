@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
-from flopcalc import flop, homalg, pbundle
+from flopcalc import flop, homalg, pbundle, verify
+from flopcalc.bwb import CohomologyTable
 from flopcalc.flop import PicMap, apply_psi
-from flopcalc.pbundle import XLineBundle
+from flopcalc.pbundle import ModelVariety, Side, XLineBundle
 from flopcalc.verify import (
     ALL_CHECK_IDS,
     CheckResult,
@@ -29,14 +32,53 @@ def first_failing_pair(n, psi):
     classes = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
     for a in classes:
         for b in classes:
-            before = pbundle.cohomology_X(b - a)
-            after = pbundle.cohomology_X(psi(b) - psi(a))
+            before = pbundle.hom_dims(a, b)
+            after = pbundle.hom_dims(psi(a), psi(b))
             if before != after:
                 return {
                     "a": a.coords(), "b": b.coords(),
                     "before": before.dims(), "after": after.dims(),
                 }
     return None
+
+
+def first_lemma_3_4_failure(n):
+    """Brute force: the first (family, l, m), in the suite's order, whose class
+    has higher cohomology, computing every case's table; None if there is none."""
+    variety = ModelVariety(n)
+    for l in range(-n, n + 1):
+        for m in range(-n, n + 1):
+            for family, (j, k) in (("direct", (l, m)), ("flopped", (l + m, -m))):
+                dims = pbundle.cohomology_X(XLineBundle(variety, j, k)).dims()
+                higher = {i: d for i, d in dims.items() if i > 0}
+                if higher:
+                    return {"family": family, "l": l, "m": m, "higher": higher}
+    return None
+
+
+def psi_from(image):
+    """A map onto X_PLUS from a function (n, j, k) -> (j', k')."""
+    def psi(lb):
+        n = lb.variety.n
+        return XLineBundle(ModelVariety(n, Side.X_PLUS), *image(n, lb.j, lb.k))
+    return psi
+
+
+AFFINE_MAPS = {
+    "identity": lambda n, j, k: (j, k),
+    "psi-translated": lambda n, j, k: (j + k + 3, -k - 2),
+    "swap": lambda n, j, k: (k, j),
+    "dilation": lambda n, j, k: (2 * j, k),
+}
+
+# maps that agree with psi on the edges j = -n and k = -n of the rectangle
+NON_AFFINE_MAPS = {
+    "bent-k": lambda n, j, k: (j + k, -k + (j + n) * (k + n)),
+    "bent-j": lambda n, j, k: (j + k + (j + n) * (k + n), -k),
+    "top-corner-moved": lambda n, j, k: (j + k, -k + (j == k == 0)),
+}
+
+MAPS = {**AFFINE_MAPS, **NON_AFFINE_MAPS}
 
 
 def moved_psi(moved, offset):
@@ -184,6 +226,118 @@ class TestIndividualSuites:
         assert result.status is Status.PASS
         assert result.evidence["pairs"] == (n + 1) ** 4
         assert 0 < len(calls) <= 2 * (2 * n + 1) ** 2
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_prop_3_5_witness_pairs_are_first_of_each_difference(self, n):
+        side = n + 1
+        first = {}
+        for a, b in itertools.product(range(side * side), repeat=2):
+            (aj, ak), (bj, bk) = divmod(a, side), divmod(b, side)
+            first.setdefault((bj - aj, bk - ak), (a, b))
+        assert list(verify._witness_pairs(n)) == list(first.values())
+        assert len(first) == (2 * n + 1) ** 2
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("name", sorted(AFFINE_MAPS))
+    def test_prop_3_5_other_affine_maps(self, monkeypatch, name, n):
+        psi = psi_from(AFFINE_MAPS[name])
+        expected = first_failing_pair(n, psi)
+        assert (expected is None) == (name in ("identity", "psi-translated"))
+        monkeypatch.setattr(flop, "apply_psi", psi)
+        result = verify_prop_3_5(n)
+        assert result.status is (Status.PASS if expected is None else Status.FAIL)
+        assert result.evidence.get("counterexample") == expected
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_prop_3_5_compares_each_key_once(self, monkeypatch, name, n):
+        # with every table equal no pair fails, so each distinct key
+        # (b - a, psi(b) - psi(a)) over all pairs is compared exactly once
+        psi = psi_from(MAPS[name])
+        classes = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
+        keys = {((b - a).coords(), (psi(b) - psi(a)).coords()) for a in classes for b in classes}
+        calls = []
+
+        def constant(a, b):
+            calls.append((a, b))
+            return pbundle.cohomology_X(XLineBundle(a.variety, 0, 0))
+
+        monkeypatch.setattr(pbundle, "hom_dims", constant)
+        monkeypatch.setattr(flop, "apply_psi", psi)
+        assert verify_prop_3_5(n).status is Status.PASS
+        assert len(calls) == 2 * len(keys)
+        assert (len(keys) == (2 * n + 1) ** 2) == (name in AFFINE_MAPS)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_prop_3_5_one_corrupted_difference(self, monkeypatch, n):
+        hom_dims = pbundle.hom_dims
+        for d0 in [(0, 0), (-n, -n), (n, n), (-n, n), (1, -2), (n - 1, 0)]:
+            def corrupted(a, b, d0=d0):
+                table = hom_dims(a, b)
+                if a.variety.side is Side.X and (b - a).coords() == d0:
+                    return CohomologyTable.from_dict({**table.dims(), 0: table.get(0) + 1})
+                return table
+
+            monkeypatch.setattr(pbundle, "hom_dims", corrupted)
+            expected = first_failing_pair(n, apply_psi)
+            assert (expected["b"][0] - expected["a"][0], expected["b"][1] - expected["a"][1]) == d0
+            result = verify_prop_3_5(n)
+            assert result.status is Status.FAIL
+            assert result.evidence["counterexample"] == expected
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_prop_3_5_call_counts(self, monkeypatch, n):
+        counts = {"hom_dims": 0, "apply_psi": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(pbundle, "hom_dims", counting("hom_dims", pbundle.hom_dims))
+        monkeypatch.setattr(flop, "apply_psi", counting("apply_psi", flop.apply_psi))
+        assert verify_prop_3_5(n).status is Status.PASS
+        assert counts == {"hom_dims": 2 * (2 * n + 1) ** 2, "apply_psi": (n + 1) ** 2}
+
+    @pytest.mark.parametrize("n, distinct", [(2, 31), (5, 151)])
+    def test_lemma_3_4_computes_each_class_once(self, monkeypatch, n, distinct):
+        classes = []
+        cohomology_X = pbundle.cohomology_X
+
+        def counting(lb):
+            classes.append(lb.coords())
+            return cohomology_X(lb)
+
+        monkeypatch.setattr(pbundle, "cohomology_X", counting)
+        result = verify_lemma_3_4(n)
+        assert result.status is Status.PASS
+        assert result.evidence["cases"] == 2 * (2 * n + 1) ** 2
+        assert len(classes) == len(set(classes)) == distinct
+
+    @pytest.mark.parametrize("n, bad, family", [
+        (2, (0, -1), "flopped"),   # direct at (l, m) = (0, -1), flopped first at (-1, 1)
+        (2, (3, -1), "flopped"),   # outside the square: only ever flopped
+        (2, (-2, -2), "direct"),
+        (5, (1, -3), "flopped"),
+        (5, (-7, 2), "flopped"),
+        (5, (4, 4), "direct"),
+    ])
+    def test_lemma_3_4_negative_control(self, monkeypatch, n, bad, family):
+        cohomology_X = pbundle.cohomology_X
+
+        def patched(lb):
+            table = cohomology_X(lb)
+            if lb.coords() == bad:
+                return CohomologyTable.from_dict({**table.dims(), 1: 2})
+            return table
+
+        monkeypatch.setattr(pbundle, "cohomology_X", patched)
+        expected = first_lemma_3_4_failure(n)
+        assert expected["family"] == family
+        result = verify_lemma_3_4(n)
+        assert result.status is Status.FAIL
+        assert result.evidence["counterexample"] == expected
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_serre_3_6(self, n):
