@@ -337,6 +337,21 @@ class TestPieri:
         assert table.dims() == {0: 1}
 
 
+class TestPieriRegression:
+    # sha256 over the ordered summands of tensor_with_sym for every lam with
+    # entries 2..-1, n = 2..12, a = 0..6, recorded with the row-by-row walk
+    DIGEST = "90db4215708814181739c79ffb7c74f80cea130647e7f03c546b544e499085d5"
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        for n in range(2, 13):
+            for lam in combinations_with_replacement(range(2, -2, -1), n):
+                w = LeviWeight(n, lam, 3)
+                for a in range(7):
+                    summands = tensor_with_sym(w, a).summands
+                    h.update(repr([(s.lam, s.t) for s in summands]).encode())
+        assert h.hexdigest() == self.DIGEST
+
 class TestCohomologyTable:
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
