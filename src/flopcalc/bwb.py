@@ -20,8 +20,9 @@ the result strictly decreasing is the one degree carrying sections, whose
 dimension is a Weyl dimension.  As ``lam`` is non-increasing, the degree
 is the count of entries below ``t``, found in O(n) steps; the Weyl product
 runs over pairs of blocks of equal entries (see ``weyl_dim``), so the cost
-is polynomial in n.  All arithmetic is exact; dimensions are plain Python
-integers of unbounded size.
+is polynomial in n.  The Pieri rule ``tensor_with_sym`` walks lam run by
+run: only the first row of each run of equal entries takes boxes.  All
+arithmetic is exact; dimensions are plain Python integers of unbounded size.
 
 Every function here is pure and every value immutable, so the module is
 safe to use from concurrent code without locking.
@@ -276,23 +277,27 @@ def tensor_with_sym(w, a):
     """Decompose (Sym^a Theta) tensor w into irreducibles.
 
     Horizontal-strip Pieri rule on the Q-weight, with the twist bookkeeping
-    Sym^a Theta = Sym^a Q tensor O(a).
+    Sym^a Theta = Sym^a Q tensor O(a).  As lam_i <= mu_i <= lam_{i-1}, only
+    the first row of each run of equal entries of lam takes boxes; the walk
+    goes run by run and emits the summands in lexicographic order of mu.
     """
     if a < 0:
         raise ValueError(f"symmetric power must be >= 0, got {a}")
     n, lam = w.n, w.lam
     results = []
 
-    def grow(i, prefix, remaining):
+    def grow(s, prefix, remaining):
         if remaining == 0:
-            results.append(LeviWeight(n, tuple(prefix) + lam[i:], w.t - a))
+            results.append(LeviWeight(n, prefix + lam[s:], w.t - a))
             return
-        # rows below i absorb at most lam[i] - lam[-1] boxes in total
-        low = max(lam[i], lam[-1] + remaining)
-        high = lam[i - 1] if i else lam[0] + remaining
-        high = min(high, lam[i] + remaining)
-        for mu_i in range(low, high + 1):
-            grow(i + 1, prefix + [mu_i], remaining - (mu_i - lam[i]))
+        v = lam[s]
+        # rows below the run absorb at most v - lam[-1] boxes in total
+        low = max(v, lam[-1] + remaining)
+        high = v + remaining if s == 0 else min(lam[s - 1], v + remaining)
+        end = s + lam.count(v)   # equal entries of lam are contiguous
+        forced = lam[s + 1:end]
+        for top in range(low, high + 1):
+            grow(end, prefix + (top,) + forced, remaining - (top - v))
 
-    grow(0, [], a)
+    grow(0, (), a)
     return HomogeneousBundle(tuple(results))

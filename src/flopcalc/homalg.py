@@ -99,7 +99,11 @@ class ChaseSolution:
     trace: tuple[tuple[str, str, int], ...]
 
     def require(self, label):
-        if label in self.values and self.values[label] is not None:
+        """The value of ``label``; ChaseUnderdeterminedError if the chase left
+        it open, KeyError if the system has no such term."""
+        if label not in self.values:
+            raise KeyError(f"{self.system.name}: no term {label!r}")
+        if self.values[label] is not None:
             return self.values[label]
         raise ChaseUnderdeterminedError(
             f"{self.system.name}: the chase does not determine {label!r}"
@@ -115,6 +119,12 @@ def _segments(dims):
 def chase_solve(system, reverse=False):
     """Propagate exactness constraints to a fixpoint.
 
+    Each round reads the segments between known zeros once: it checks the
+    fully-known ones, then applies rule (a) to every segment of one unknown
+    term, then rule (b) to every longer segment with one unknown.  Rule (a)
+    is rule (b) on a segment of one term, and zeroing that term leaves every
+    other segment as it was, so one segment list serves the whole round.
+
     ``reverse=True`` processes rules and segments right to left; the
     fixpoint must not depend on the order, which tests assert.
     """
@@ -123,33 +133,29 @@ def chase_solve(system, reverse=False):
 
     changed = True
     while changed:
-        changed = False
+        open_segs = []   # (lo, hi, dims[lo:hi]) of each segment with one unknown
         for lo, hi in _segments(dims):
             seg = dims[lo:hi]
-            if None in seg:
-                continue
-            total = sum(seg[0::2]) - sum(seg[1::2])
-            if total != 0:
-                raise ChaseInconsistencyError(
-                    f"{system.name}: zero-flanked segment {labels[lo:hi]} has alternating "
-                    f"sum {total}, exactness fails"
-                )
-
-        order = range(1, len(dims) - 1)
+            unknowns = seg.count(None)
+            if unknowns == 1:
+                open_segs.append((lo, hi, seg))
+            elif not unknowns:
+                total = sum(seg[0::2]) - sum(seg[1::2])
+                if total != 0:
+                    raise ChaseInconsistencyError(
+                        f"{system.name}: zero-flanked segment {labels[lo:hi]} has alternating "
+                        f"sum {total}, exactness fails"
+                    )
         if reverse:
-            order = reversed(order)
-        for i in order:
-            if dims[i] is None and dims[i - 1] == 0 and dims[i + 1] == 0:
-                dims[i] = 0
-                trace.append((labels[i], "flanked-by-zeros", 0))
-                changed = True
+            open_segs.reverse()
 
-        segs = _segments(dims)
-        if reverse:
-            segs.reverse()
-        for lo, hi in segs:
-            seg = dims[lo:hi]
-            if seg.count(None) != 1:
+        for lo, hi, seg in open_segs:
+            if hi - lo == 1:
+                dims[lo] = 0
+                trace.append((labels[lo], "flanked-by-zeros", 0))
+
+        for lo, hi, seg in open_segs:
+            if hi - lo == 1:
                 continue
             pos = seg.index(None)
             seg[pos] = 0
@@ -162,7 +168,7 @@ def chase_solve(system, reverse=False):
                 )
             dims[lo + pos] = solved
             trace.append((labels[lo + pos], "alternating-sum", solved))
-            changed = True
+        changed = bool(open_segs)
 
     # the last round changed nothing, so its opening check covers the fixpoint
     values = dict(zip(labels, dims))

@@ -308,28 +308,49 @@ class TestPieri:
                 assert sum(map(levi_rank, tensor_with_sym(w, a).summands)) == expect
 
     def test_matches_brute_force_horizontal_strips(self):
-        # mu interlaces lam (lam_i <= mu_i <= lam_{i-1}) and has a more boxes
         cases = 0
         for n in range(1, 6):
             for lam in product(range(2, -3, -1), repeat=n):
                 if any(x < y for x, y in zip(lam, lam[1:])):
                     continue
-                w = LeviWeight(n, lam, 3)
                 for a in range(7):
-                    ranges = [
-                        range(lam[i], (lam[i - 1] if i else lam[0] + a) + 1)
-                        for i in range(n)
-                    ]
-                    expect = {
-                        LeviWeight(n, mu, 3 - a)
-                        for mu in product(*ranges)
-                        if sum(mu) - sum(lam) == a
-                    }
-                    got = tensor_with_sym(w, a).summands
-                    assert len(got) == len(set(got)), (lam, a)
-                    assert set(got) == expect, (lam, a)
+                    self.assert_matches_strips(lam, a)
                     cases += 1
         assert cases == 1757
+
+    @staticmethod
+    def run_weights(n):
+        # every lam of length n made of runs of 3, 1 and 0, some of them empty
+        for top in range(n + 1):
+            for mid in range(n - top + 1):
+                yield (3,) * top + (1,) * mid + (0,) * (n - top - mid)
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_runs_match_brute_force_at_larger_n(self, n):
+        for lam in self.run_weights(n):
+            for a in range(7):
+                self.assert_matches_strips(lam, a)
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_runs_rank_multiplicativity(self, n):
+        for lam in self.run_weights(n):
+            w = LeviWeight(n, lam, 0)
+            for a in range(7):
+                expect = levi_rank(w) * comb(a + n - 1, a)
+                assert sum(map(levi_rank, tensor_with_sym(w, a).summands)) == expect
+
+    @staticmethod
+    def assert_matches_strips(lam, a):
+        # mu interlaces lam (lam_i <= mu_i <= lam_{i-1}) and has a more boxes;
+        # a row equal to the row above has one value, so runs stay cheap
+        n = len(lam)
+        ranges = [range(lam[i], (lam[i - 1] if i else lam[0] + a) + 1) for i in range(n)]
+        expect = {
+            LeviWeight(n, mu, 3 - a) for mu in product(*ranges) if sum(mu) - sum(lam) == a
+        }
+        got = tensor_with_sym(LeviWeight(n, lam, 3), a).summands
+        assert len(got) == len(set(got)), (lam, a)
+        assert set(got) == expect, (lam, a)
 
     def test_end_of_tangent_on_p2(self):
         # Theta (x) Omega^1 has a one-dimensional space of global endomorphisms
@@ -351,6 +372,7 @@ class TestPieriRegression:
                     summands = tensor_with_sym(w, a).summands
                     h.update(repr([(s.lam, s.t) for s in summands]).encode())
         assert h.hexdigest() == self.DIGEST
+
 
 class TestCohomologyTable:
     def test_rejects_bad_entries(self):

@@ -64,6 +64,29 @@ class TestChaseSolve:
         with pytest.raises(ChaseUnderdeterminedError):
             sol.require("T1")
 
+    def test_require_tells_an_open_term_from_a_missing_one(self):
+        sol = chase_solve(system(0, None, 4, None, 0, name="open"))
+        with pytest.raises(ChaseUnderdeterminedError, match="open: the chase does not determine 'T3'"):
+            sol.require("T3")
+        with pytest.raises(KeyError, match="open: no term 'T9'"):
+            sol.require("T9")
+
+    def test_one_segment_scan_per_round(self, monkeypatch):
+        # every reference system is solved in two rounds: one that applies the
+        # rules and one that finds nothing left to do
+        systems = [sysm for n in range(2, 25) for sysm in reference_chase_systems(n)]
+        segments, scans = homalg._segments, []
+
+        def counting(dims):
+            scans.append(len(dims))
+            return segments(dims)
+
+        monkeypatch.setattr(homalg, "_segments", counting)
+        for sysm in systems:
+            scans.clear()
+            chase_solve(sysm)
+            assert len(scans) == 2, (sysm.name, len(scans))
+
     def test_inconsistent_known_segment(self):
         with pytest.raises(ChaseInconsistencyError):
             chase_solve(system(0, 2, 1, 0))
@@ -114,7 +137,6 @@ class TestChaseSolve:
             assert set(fwd.unsolved) == set(bwd.unsolved)
 
 
-
 class TestChaseRegression:
     # sha256 over (values, unsolved, trace), or the ChaseInconsistencyError
     # text, of each system in both orders, recorded with three scans a round
@@ -129,9 +151,9 @@ class TestChaseRegression:
         return (sorted(sol.values.items()), sol.unsolved, sol.trace)
 
     @staticmethod
-    def random_systems(count=3000, seed=12):
-        rng = Random(seed)
-        for k in range(count):
+    def random_systems():
+        rng = Random(12)
+        for k in range(3000):
             dims = [rng.choice((None, 0, 1, 2, 3)) for _ in range(rng.randint(0, 14))]
             yield system(*dims, name=f"random-{k}")
 
@@ -144,6 +166,7 @@ class TestChaseRegression:
             for reverse in (False, True):
                 h.update(repr(self.outcome(sysm, reverse)).encode())
         assert h.hexdigest() == self.DIGEST
+
 
 class TestKoszulResolution:
     def test_terms_for_n2(self):
