@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import factorial
 
@@ -36,6 +37,24 @@ from flopcalc.pbundle import (
 @pytest.fixture
 def v2():
     return ModelVariety(2)
+
+
+class TestCohomologyXRegression:
+    # sha256 over (n, j, k, entries) of cohomology_X for n = 2..6, k = -8..8
+    # and j = -5n..5n plus four large j, recorded before the one-run Pieri
+    # branch; the range reaches the prefix walk, the Serre reflection, the
+    # acyclic band and the closed form on both sides of the prefix
+    DIGEST = "6b090e9d943758bd80dd60155bf9a0fab798128f4c4f8113be3872f445b3b848"
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        for n in range(2, 7):
+            v = ModelVariety(n)
+            for k in range(-8, 9):
+                for j in [*range(-5 * n, 5 * n + 1), 60, 97, 150, 10**6]:
+                    entries = cohomology_X(XLineBundle(v, j, k)).entries
+                    h.update(repr((n, j, k, entries)).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestModelVariety:
