@@ -20,9 +20,12 @@ the result strictly decreasing is the one degree carrying sections, whose
 dimension is a Weyl dimension.  As ``lam`` is non-increasing, the degree
 is the count of entries below ``t``, found in O(n) steps; the Weyl product
 runs over pairs of blocks of equal entries (see ``weyl_dim``), so the cost
-is polynomial in n.  The Pieri rule ``tensor_with_sym`` walks lam run by
-run: only the first row of each run of equal entries takes boxes.  All
-arithmetic is exact; dimensions are plain Python integers of unbounded size.
+is polynomial in n.  The Pieri rule ``tensor_with_sym`` gives a lam of one
+run, as every line bundle has, its one summand at once, and walks any other
+lam run by run on an explicit stack: only the first row of each run of equal
+entries takes boxes.  ``cohomology_sum`` of one summand is that summand's
+Bott table.  All arithmetic is exact; dimensions are plain Python integers
+of unbounded size.
 
 Every function here is pure and every value immutable, so the module is
 safe to use from concurrent code without locking.
@@ -234,11 +237,19 @@ def bott_cohomology(w):
         return EMPTY_TABLE
     cut = n - below
     mu = lam[:cut] + (t - below,) + tuple(a + 1 for a in lam[cut:])
-    return CohomologyTable.from_dict({below: weyl_dim(mu)})
+    # the loop leaves lam[cut - 1] >= t - below >= lam[cut] + 1, so mu is
+    # dominant and its Weyl dimension is positive
+    dim = weyl_dim(mu)
+    if dim <= 0:
+        raise ArithmeticError(f"Weyl dimension of dominant {mu} is {dim}, not positive")
+    return CohomologyTable(((below, dim),))
 
 
 def cohomology_sum(bundle):
-    """Degree-wise sum of bott_cohomology over the summands."""
+    """Degree-wise sum of bott_cohomology over the summands; a bundle with one
+    summand gets that summand's table itself."""
+    if len(bundle.summands) == 1:
+        return bott_cohomology(bundle.summands[0])
     dims = {}
     for w in bundle.summands:
         for deg, dim in bott_cohomology(w).entries:
@@ -278,26 +289,32 @@ def tensor_with_sym(w, a):
 
     Horizontal-strip Pieri rule on the Q-weight, with the twist bookkeeping
     Sym^a Theta = Sym^a Q tensor O(a).  As lam_i <= mu_i <= lam_{i-1}, only
-    the first row of each run of equal entries of lam takes boxes; the walk
-    goes run by run and emits the summands in lexicographic order of mu.
+    the first row of each run of equal entries of lam takes boxes.  A lam of
+    one run, as for every line bundle, has the one summand (lam_0 + a,
+    lam_1, ..., lam_{n-1} | t - a).  Otherwise the walk goes run by run on an
+    explicit stack, so its depth is not bounded by the recursion limit, and
+    emits the summands in lexicographic order of mu.
     """
     if a < 0:
         raise ValueError(f"symmetric power must be >= 0, got {a}")
-    n, lam = w.n, w.lam
+    n, lam, t = w.n, w.lam, w.t - a
+    if lam[0] == lam[-1]:
+        return HomogeneousBundle((LeviWeight(n, (lam[0] + a,) + lam[1:], t),))
     results = []
-
-    def grow(s, prefix, remaining):
+    # (start of the next run, rows above it, boxes left to place)
+    stack = [(0, (), a)]
+    while stack:
+        s, prefix, remaining = stack.pop()
         if remaining == 0:
-            results.append(LeviWeight(n, prefix + lam[s:], w.t - a))
-            return
+            results.append(LeviWeight(n, prefix + lam[s:], t))
+            continue
         v = lam[s]
         # rows below the run absorb at most v - lam[-1] boxes in total
         low = max(v, lam[-1] + remaining)
         high = v + remaining if s == 0 else min(lam[s - 1], v + remaining)
         end = s + lam.count(v)   # equal entries of lam are contiguous
         forced = lam[s + 1:end]
-        for top in range(low, high + 1):
-            grow(end, prefix + (top,) + forced, remaining - (top - v))
-
-    grow(0, (), a)
+        # pushed from the highest top row down, so the lowest pops first
+        for top in range(high, low - 1, -1):
+            stack.append((end, prefix + (top,) + forced, remaining - (top - v)))
     return HomogeneousBundle(tuple(results))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flopcalc import bwb
 from flopcalc.bwb import (
     CohomologyTable,
     HomogeneousBundle,
@@ -111,6 +112,14 @@ class TestBottCohomology:
     def test_degree_bounded_by_dimension(self):
         for w in small_weights(2, 4):
             assert max(bott_cohomology(w).dims(), default=0) <= w.n
+
+    @pytest.mark.parametrize("fake_dim", [0, -1])
+    def test_non_positive_dominant_dimension_raises(self, monkeypatch, fake_dim):
+        # mu is dominant on every path that reaches weyl_dim, so a dimension
+        # of 0 or less can only be an engine fault, and must not be dropped
+        monkeypatch.setattr(bwb, "weyl_dim", lambda mu: fake_dim)
+        with pytest.raises(ArithmeticError, match=r"\(0, 0, -3\)"):
+            bott_cohomology.__wrapped__(line_bundle(2, 3))
 
 
 def pair_product(mu):
@@ -298,6 +307,11 @@ class TestCohomologySum:
         with pytest.raises(ValueError):
             HomogeneousBundle((structure_sheaf(2), structure_sheaf(3)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_summand_is_its_bott_table(self, n):
+        for w in small_weights(n, 3):
+            assert cohomology_sum(HomogeneousBundle((w,))) == bott_cohomology(w)
+
 
 class TestPieri:
     @pytest.mark.parametrize("n", [2, 3])
@@ -330,6 +344,21 @@ class TestPieri:
         for lam in self.run_weights(n):
             for a in range(7):
                 self.assert_matches_strips(lam, a)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_one_run_matches_brute_force(self, n):
+        # every line bundle's lam is one run; its one summand fills row 0
+        for c in range(-3, 4):
+            for a in range(11):
+                self.assert_matches_strips((c,) * n, a)
+
+    def test_more_runs_than_the_recursion_limit(self):
+        # 1100 runs of length one: a walk that recursed once per run fails
+        n = 1100
+        lam = tuple(range(n, 0, -1))
+        got = tensor_with_sym(LeviWeight(n, lam, 0), 1).summands
+        rows = [lam[:i] + (lam[i] + 1,) + lam[i + 1:] for i in reversed(range(n))]
+        assert got == tuple(LeviWeight(n, mu, -1) for mu in rows)
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_runs_rank_multiplicativity(self, n):
