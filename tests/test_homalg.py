@@ -168,6 +168,22 @@ class TestChaseRegression:
         assert h.hexdigest() == self.DIGEST
 
 
+class TestLongExactSystemRegression:
+    # sha256 over (name, terms) of each built system: pins term order, labels,
+    # dims and system names, which TestChaseRegression's sorted values do not
+    DIGEST = "c0444f76d942fdc3dd631533c83692c82dd163475bad00f756ca12291c1f5cc5"
+
+    def test_digest(self):
+        systems = [homalg.long_exact_system("doc", 1, (
+            ("A^{i}", None), ("B^{i}", {0: 5}), ("C^{i}", {})))]
+        for n in range(2, 17):
+            systems += reference_chase_systems(n)
+        h = hashlib.sha256()
+        for sysm in systems:
+            h.update(repr((sysm.name, sysm.terms)).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestKoszulResolution:
     def test_terms_for_n2(self):
         res = koszul_resolution(2)
