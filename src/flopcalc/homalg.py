@@ -27,9 +27,12 @@ On top of the solver this module assembles:
 
 Every long exact sequence chased here, for h^i(I), Ext^i(O_Y, I),
 Ext^i(I, I) and Ext^i(E_p, I), comes from the one builder
-``long_exact_system``.  Each reference system is built once and solved
-once per call: the solved h^i(I) and Ext^i(O_Y, I) systems fill in the
-Ext^i(I, I) system.
+``long_exact_system``.  Each column is a label format holding exactly one
+``{i}`` field and no other brace, with its dimensions; the system is built
+column by column, each column's labels and dims made once and then
+interleaved degree by degree.  Each reference system is built once and
+solved once per call: the solved h^i(I) and Ext^i(O_Y, I) systems fill in
+the Ext^i(I, I) system.
 
 >>> sys = long_exact_system("doc", 1, (("A^{i}", None), ("B^{i}", {0: 5}),
 ...                                    ("C^{i}", {})))
@@ -40,6 +43,8 @@ Ext^i(I, I) system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from math import comb
 from typing import NamedTuple
 
@@ -51,6 +56,7 @@ from .bwb import (
     form_bundle,
     levi_rank,
     line_bundle,
+    shorten,
     structure_sheaf,
 )
 from .pbundle import ModelVariety, Side, XLineBundle, cohomology_with_pullback_twist, cohomology_X
@@ -82,12 +88,12 @@ class ChaseSystem:
     terms: tuple[ChaseTerm, ...]
 
     def __post_init__(self):
-        labels = set()
-        for label, dim in self.terms:
-            if dim is not None and dim < 0:
-                raise ValueError(f"term {label} has negative dimension {dim}")
-            labels.add(label)
-        if len(labels) != len(self.terms):
+        labels, dims = zip(*self.terms) if self.terms else ((), ())
+        # filter(None, ...) drops the zeros and unknowns, which cannot be negative
+        if min(filter(None, dims), default=0) < 0:
+            label, dim = next(t for t in self.terms if t.dim is not None and t.dim < 0)
+            raise ValueError(f"term {label} has negative dimension {dim}")
+        if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate labels in system {self.name!r}")
 
 
@@ -180,15 +186,29 @@ def long_exact_system(name, n, columns):
     """The long exact sequence of a short exact sequence, as a chase system:
     ``start``, the three terms of each degree i = 0..2n, then ``end``.
 
-    Each column is ``(label format, dims)``, the format with an ``{i}`` field;
-    ``dims`` maps degree to dimension, an absent degree meaning 0, or is None
-    for a column of unknowns.
+    Each column is ``(label format, dims)``.  The format holds exactly one
+    ``{i}`` field, replaced by the degree, and no other brace; any other
+    format raises ValueError.  ``dims`` maps degree to dimension, an absent
+    degree meaning 0, or is None for a column of unknowns.  The system is
+    built column by column: each column's labels and dims are made once,
+    then the columns are interleaved degree by degree.
     """
-    terms = [ChaseTerm("start", 0)]
-    terms += [ChaseTerm(fmt.format(i=i), None if dims is None else dims.get(i, 0))
-              for i in range(2 * n + 1) for fmt, dims in columns]
-    terms.append(ChaseTerm("end", 0))
-    return ChaseSystem(name, tuple(terms))
+    degrees = range(2 * n + 1)
+    numerals = [str(i) for i in degrees]
+    built = []
+    for fmt, dims in columns:
+        head, field, tail = fmt.partition("{i}")
+        if not field or "{" in head + tail or "}" in head + tail:
+            raise ValueError(
+                f"label format {shorten(fmt, repr)} must hold exactly one {{i}} field "
+                f"and no other brace"
+            )
+        labels = [head + numeral + tail for numeral in numerals]
+        values = [None] * len(degrees) if dims is None else [dims.get(i, 0) for i in degrees]
+        built.append(zip(labels, values))
+    # tuple.__new__ makes each ChaseTerm in C, skipping the NamedTuple's Python __new__
+    body = map(partial(tuple.__new__, ChaseTerm), chain.from_iterable(zip(*built)))
+    return ChaseSystem(name, (ChaseTerm("start", 0), *body, ChaseTerm("end", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +323,9 @@ def restriction_chase_system(p, n):
     """
     if not 1 <= p <= n:
         raise ValueError(f"p={p} out of range 1..{n}")
-    variety = ModelVariety(n, Side.X_PLUS)
-    dual_table = cohomology_with_pullback_twist(variety, p, form_bundle(p, n))
-    centre_table = bott_cohomology(form_bundle(p, n))
+    forms = form_bundle(p, n)
+    dual_table = cohomology_with_pullback_twist(ModelVariety(n, Side.X_PLUS), p, forms)
+    centre_table = bott_cohomology(forms)
     return long_exact_system(f"ext-koszul-term-p{p}-n{n}", n, (
         (f"Ext^{{i}}(E{p},I)", None),
         (f"h^{{i}}(E{p}v)", dual_table.dims()),

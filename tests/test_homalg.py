@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 from math import comb
 from random import Random
@@ -110,6 +111,43 @@ class TestChaseSolve:
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError, match="negative dimension -1"):
             ChaseSystem("neg", (ChaseTerm("A", -1),))
+
+    def test_negative_dimension_reported_before_duplicate_labels(self):
+        terms = (ChaseTerm("A", 0), ChaseTerm("A", 1), ChaseTerm("B", -2))
+        with pytest.raises(ValueError, match="^term B has negative dimension -2$"):
+            ChaseSystem("both", terms)
+
+    def test_first_negative_term_named(self):
+        terms = (ChaseTerm("A", None), ChaseTerm("B", -1), ChaseTerm("C", -5))
+        with pytest.raises(ValueError, match="^term B has negative dimension -1$"):
+            ChaseSystem("two", terms)
+
+    def test_empty_system_constructs(self):
+        assert ChaseSystem("empty", ()).terms == ()
+        assert chase_solve(ChaseSystem("empty", ())).values == {}
+
+    def test_long_exact_system_terms_are_chase_terms(self):
+        sysm = homalg.long_exact_system("lt", 2, (("A^{i}", None), ("B^{i}", {1: 3})))
+        assert all(type(t) is ChaseTerm for t in sysm.terms)
+        assert sysm.terms[4]._replace(dim=7) == ChaseTerm("B^1", 7)
+
+    @pytest.mark.parametrize("fmt, shown", [
+        ("h^i(I)", "'h^i(I)'"),
+        ("Ext^{i}(E{i},I)", "'Ext^{i}(E{i},I)'"),
+        ("h^{i}({{I}})", "'h^{i}({{I}})'"),
+        ("no field in a label format this long" * 2, "'no field in a label '... (72 characters)"),
+    ])
+    def test_label_format_needs_one_field_and_no_other_brace(self, fmt, shown):
+        message = f"label format {shown} must hold exactly one {{i}} field and no other brace"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            homalg.long_exact_system("bad", 1, (("A^{i}", None), (fmt, {})))
+
+    def test_good_label_format(self):
+        sysm = homalg.long_exact_system("good", 1, (
+            ("Ext^{i}(E2,I)", None), ("h^{i}(Omega^2|Y)", {2: 1})))
+        assert [t.label for t in sysm.terms[1:5]] == [
+            "Ext^0(E2,I)", "h^0(Omega^2|Y)", "Ext^1(E2,I)", "h^1(Omega^2|Y)"]
+        assert sysm.terms[6] == ChaseTerm("h^2(Omega^2|Y)", 1)
 
     @given(
         st.lists(st.integers(0, 5), min_size=0, max_size=6),
