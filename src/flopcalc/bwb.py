@@ -28,35 +28,37 @@ Bott table.  All arithmetic is exact; dimensions are plain Python integers
 of unbounded size.
 
 Every function here is pure and every value immutable, so the module is
-safe to use from concurrent code without locking.
+safe to use from concurrent code without locking.  Immutable values across
+the package are written so that defining them costs nothing at import: a
+``collections.namedtuple`` subclass with ``__slots__ = ()`` whose checks run
+in ``__new__`` (``_replace`` and ``_make`` skip ``__new__``, so the package
+never calls them on a checked type), or, where a field is read on a cache
+hit, a ``__slots__`` class, since CPython 3.11 specialises a slot read but
+not a namedtuple field read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 
-@dataclass(frozen=True)
-class LeviWeight:
+class LeviWeight(namedtuple("LeviWeight", "n lam t")):
     """Weight data (lam on Q, twist t) of an irreducible bundle on P^n."""
 
-    n: int
-    lam: tuple[int, ...]
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"ambient P^n needs n >= 1, got n={self.n}")
-        if len(self.lam) != self.n:
-            raise ValueError(
-                f"weight vector has length {len(self.lam)}, expected n={self.n}"
-            )
-        if self.lam != tuple(sorted(self.lam, reverse=True)):
-            raise ValueError(f"weight vector {self.lam} is not non-increasing")
+    def __new__(cls, n, lam, t):
+        if n < 1:
+            raise ValueError(f"ambient P^n needs n >= 1, got n={n}")
+        if len(lam) != n:
+            raise ValueError(f"weight vector has length {len(lam)}, expected n={n}")
+        if lam != tuple(sorted(lam, reverse=True)):
+            raise ValueError(f"weight vector {lam} is not non-increasing")
+        return tuple.__new__(cls, (n, lam, t))
 
     def literal(self):
         """Render in the CLI/JSON literal syntax, e.g. ``"1,0|-1"``."""
@@ -122,23 +124,23 @@ def tangent_bundle(n):
     return LeviWeight(n, (1,) + (0,) * (n - 1), -1)
 
 
-@dataclass(frozen=True)
-class HomogeneousBundle:
+class HomogeneousBundle(namedtuple("HomogeneousBundle", "summands")):
     """Formal direct sum of Levi weights on a common P^n (possibly empty)."""
 
-    summands: tuple[LeviWeight, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        ns = {w.n for w in self.summands}
+    def __new__(cls, summands):
+        ns = {w.n for w in summands}
         if len(ns) > 1:
             raise ValueError(f"summands live on different spaces: n in {sorted(ns)}")
+        return tuple.__new__(cls, (summands,))
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
-    """Map from cohomological degree to exact dimension; zeros omitted."""
+class CohomologyTable(namedtuple("CohomologyTable", "entries")):
+    """Map from cohomological degree to exact dimension; zeros omitted.
+    ``entries`` is a sorted tuple of (degree, dimension) pairs."""
 
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, dims):

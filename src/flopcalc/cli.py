@@ -21,9 +21,7 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from . import flop, homalg, verify
@@ -35,16 +33,15 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    max_n: int = 4
-    output_format: str = "text"
+class RunConfig(namedtuple("RunConfig", "max_n output_format")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_n < 2:
-            raise UsageError(f"max_n must be >= 2, got {shorten(str(self.max_n))}")
-        if self.output_format not in ("text", "json", "markdown"):
-            raise UsageError(f"unknown output format {shorten(self.output_format, repr)}")
+    def __new__(cls, max_n=4, output_format="text"):
+        if max_n < 2:
+            raise UsageError(f"max_n must be >= 2, got {shorten(str(max_n))}")
+        if output_format not in ("text", "json", "markdown"):
+            raise UsageError(f"unknown output format {shorten(output_format, repr)}")
+        return tuple.__new__(cls, (max_n, output_format))
 
 
 def load_config_file(path):
@@ -164,17 +161,15 @@ def build_parser():
     return parser
 
 
-@dataclass(frozen=True)
-class Report:
-    """A subcommand's result.  ``text`` and ``markdown`` return its lines
-    when called, so JSON output never formats them."""
+class Report(namedtuple("Report", "payload text markdown code trace blame",
+                        defaults=(None, 0, (), "--n"))):
+    """A subcommand's result.  ``payload`` is what --json writes; ``text``
+    and ``markdown`` (verify only, else None) return its lines when called,
+    so JSON output never formats them.  ``code`` is the exit code,
+    ``trace`` the lines written before the report in any format, and
+    ``blame`` the flags a number past the digit limit came from."""
 
-    payload: object  # what --json writes
-    text: Callable[[], list[str]]
-    markdown: Callable[[], list[str]] | None = None  # verify only
-    code: int = 0
-    trace: tuple[str, ...] = ()  # lines written before the report in any format
-    blame: str = "--n"  # the flags a number past the digit limit came from
+    __slots__ = ()
 
 
 def _table(n, table, blame, header, row="h^{} = {}", **extra):

@@ -22,7 +22,7 @@ rather than extrapolating.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bwb import shorten
 from .pbundle import ModelVariety, Side, XLineBundle
@@ -32,11 +32,10 @@ class FunctorRangeError(ValueError):
     """Raised for classes outside the rectangle a functor is computed on."""
 
 
-@dataclass(frozen=True)
-class PicMap:
-    """2x2 integer matrix acting on (j, k) coordinates of Pic."""
+class PicMap(namedtuple("PicMap", "rows")):
+    """2x2 integer matrix acting on (j, k) coordinates of Pic, as two rows."""
 
-    rows: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ()
 
     def apply(self, j, k):
         (a, b), (c, d) = self.rows
@@ -63,17 +62,16 @@ class ImageKind(enum.Enum):
     IDEAL_TWIST = "ideal_twist"
 
 
-@dataclass(frozen=True)
-class FMImage:
+class FMImage(namedtuple("FMImage", "kind bundle")):
     """A functor image: a line-bundle class, possibly twisted by the ideal
     sheaf of the flopped centre (which only lives on the flopped side)."""
 
-    kind: ImageKind
-    bundle: XLineBundle
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind is ImageKind.IDEAL_TWIST and self.bundle.variety.side is not Side.X_PLUS:
+    def __new__(cls, kind, bundle):
+        if kind is ImageKind.IDEAL_TWIST and bundle.variety.side is not Side.X_PLUS:
             raise ValueError("ideal-twist images only arise on the flopped side")
+        return tuple.__new__(cls, (kind, bundle))
 
 
 def _shown(*values):

@@ -42,15 +42,13 @@ the Ext^i(I, I) system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import chain
 from math import comb
-from typing import NamedTuple
 
 from .bwb import (
     CohomologyTable,
-    LeviWeight,
     bott_cohomology,
     exterior_power_theta,
     form_bundle,
@@ -75,34 +73,38 @@ class DegeneracyUnjustifiedError(Exception):
     argument behind the Ext table does not apply."""
 
 
-class ChaseTerm(NamedTuple):
-    label: str
-    dim: int | None  # None marks an unknown dimension
+class ChaseTerm(namedtuple("ChaseTerm", "label dim")):
+    """A labelled term; a dim of None marks an unknown dimension."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChaseSystem:
+class ChaseSystem(namedtuple("ChaseSystem", "name terms")):
     """An ordered exact complex; zero objects are terms with dim 0."""
 
-    name: str
-    terms: tuple[ChaseTerm, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        labels, dims = zip(*self.terms) if self.terms else ((), ())
+    def __new__(cls, name, terms):
+        labels, dims = zip(*terms) if terms else ((), ())
         # filter(None, ...) drops the zeros and unknowns, which cannot be negative
         if min(filter(None, dims), default=0) < 0:
-            label, dim = next(t for t in self.terms if t.dim is not None and t.dim < 0)
+            label, dim = next(t for t in terms if t.dim is not None and t.dim < 0)
             raise ValueError(f"term {label} has negative dimension {dim}")
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate labels in system {self.name!r}")
+            seen = set()
+            for label in labels:
+                if label in seen:
+                    raise ValueError(f"duplicate label {label!r} in system {name!r}")
+                seen.add(label)
+        return tuple.__new__(cls, (name, terms))
 
 
-@dataclass(frozen=True)
-class ChaseSolution:
-    system: ChaseSystem
-    values: dict
-    unsolved: tuple[str, ...]
-    trace: tuple[tuple[str, str, int], ...]
+class ChaseSolution(namedtuple("ChaseSolution", "system values unsolved trace")):
+    """A solved system: ``values`` maps each label to its dimension or None,
+    ``unsolved`` lists the open labels, ``trace`` the (label, rule, value)
+    steps in the order the chase took them."""
+
+    __slots__ = ()
 
     def require(self, label):
         """The value of ``label``; ChaseUnderdeterminedError if the chase left
@@ -189,9 +191,10 @@ def long_exact_system(name, n, columns):
     Each column is ``(label format, dims)``.  The format holds exactly one
     ``{i}`` field, replaced by the degree, and no other brace; any other
     format raises ValueError.  ``dims`` maps degree to dimension, an absent
-    degree meaning 0, or is None for a column of unknowns.  The system is
-    built column by column: each column's labels and dims are made once,
-    then the columns are interleaved degree by degree.
+    degree meaning 0, or is None for a column of unknowns; a degree outside
+    0..2n raises ValueError.  The system is built column by column: each
+    column's labels and dims are made once, then the columns are interleaved
+    degree by degree.
     """
     degrees = range(2 * n + 1)
     numerals = [str(i) for i in degrees]
@@ -202,6 +205,12 @@ def long_exact_system(name, n, columns):
             raise ValueError(
                 f"label format {shorten(fmt, repr)} must hold exactly one {{i}} field "
                 f"and no other brace"
+            )
+        if dims and not dims.keys() <= set(degrees):
+            degree = next(d for d in dims if d not in degrees)
+            raise ValueError(
+                f"column {shorten(fmt, repr)} has a dimension at degree {degree}, "
+                f"outside 0..{2 * n}"
             )
         labels = [head + numeral + tail for numeral in numerals]
         values = [None] * len(degrees) if dims is None else [dims.get(i, 0) for i in degrees]
@@ -215,29 +224,28 @@ def long_exact_system(name, n, columns):
 # Koszul resolution of the ideal sheaf of the flopped centre
 
 
-@dataclass(frozen=True)
-class KoszulTerm:
-    """O_X(-p) (x) pi^* Wedge^p Theta, the p-th term of the resolution."""
+class KoszulTerm(namedtuple("KoszulTerm", "p line_class theta_wedge rank")):
+    """O_X(-p) (x) pi^* Wedge^p Theta, the p-th term of the resolution;
+    ``rank`` is the Weyl dimension of ``theta_wedge``."""
 
-    p: int
-    line_class: XLineBundle
-    theta_wedge: LeviWeight
-    rank: int  # Weyl dimension of theta_wedge
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class KoszulResolution:
-    n: int
-    terms: tuple[KoszulTerm, ...]  # ordered p = n down to 1
+class KoszulResolution(namedtuple("KoszulResolution", "n terms")):
+    """The resolution's terms, ordered p = n down to 1."""
 
-    def __post_init__(self):
-        if len(self.terms) != self.n:
-            raise ValueError(f"expected {self.n} terms, got {len(self.terms)}")
-        for term, p in zip(self.terms, range(self.n, 0, -1)):
-            if term.p != p or term.rank != comb(self.n, p):
+    __slots__ = ()
+
+    def __new__(cls, n, terms):
+        if len(terms) != n:
+            raise ValueError(f"expected {n} terms, got {len(terms)}")
+        for term, p in zip(terms, range(n, 0, -1)):
+            if term.p != p or term.rank != comb(n, p):
                 raise ValueError(f"term {term} is not the expected p={p} term")
+        self = tuple.__new__(cls, (n, terms))
         if self.alternating_rank_sum() != 1:
             raise ValueError("alternating rank sum must equal rank(I) = 1")
+        return self
 
     def alternating_rank_sum(self):
         return sum((-1) ** (t.p + 1) * t.rank for t in self.terms)

@@ -70,7 +70,6 @@ over (n, j, k) without shared state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -92,23 +91,64 @@ class Side(enum.Enum):
     X_PLUS = "xplus"
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, value=None):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
 class ModelVariety:
-    n: int
-    side: Side = Side.X
+    """X over P^n, or its flop X+.  This class and XLineBundle are
+    ``__slots__`` classes, not namedtuples: ``cohomology_X`` reads
+    ``variety.n``, ``j`` and ``k`` on every cache hit, and CPython
+    specialises a slot read but not a namedtuple field read."""
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"the model needs n >= 2, got n={self.n}")
+    __slots__ = ("n", "side")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, n, side=Side.X):
+        if n < 2:
+            raise ValueError(f"the model needs n >= 2, got n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "side", side)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.side) == (other.n, other.side)
+
+    def __hash__(self):
+        return hash((self.n, self.side))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n!r}, side={self.side!r})"
+
+    def __reduce__(self):
+        return type(self), (self.n, self.side)
 
 
-@dataclass(frozen=True)
 class XLineBundle:
     """The class j*xi + k*h in Pic(X) = Z^2."""
 
-    variety: ModelVariety
-    j: int
-    k: int
+    __slots__ = ("variety", "j", "k")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, variety, j, k):
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "k", k)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.variety, self.j, self.k) == (other.variety, other.j, other.k)
+
+    def __hash__(self):
+        return hash((self.variety, self.j, self.k))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(variety={self.variety!r}, j={self.j!r}, k={self.k!r})"
+
+    def __reduce__(self):
+        return type(self), (self.variety, self.j, self.k)
 
     def _require_same(self, other):
         if self.variety != other.variety:

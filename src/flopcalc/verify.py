@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import flop, homalg, pbundle
 from .pbundle import ModelVariety, Side, XLineBundle
@@ -24,16 +24,17 @@ class Status(str, enum.Enum):
     UNDERDETERMINED = "UNDERDETERMINED"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    n: int
-    status: Status
-    evidence: dict = field(default_factory=dict)
+class CheckResult(namedtuple("CheckResult", "check_id n status evidence")):
+    """One suite's verdict at one n; ``evidence`` defaults to a new empty dict."""
 
-    def __post_init__(self):
-        if self.status is Status.FAIL and "counterexample" not in self.evidence:
+    __slots__ = ()
+
+    def __new__(cls, check_id, n, status, evidence=None):
+        if evidence is None:
+            evidence = {}
+        if status is Status.FAIL and "counterexample" not in evidence:
             raise ValueError("FAIL results must carry a counterexample")
+        return tuple.__new__(cls, (check_id, n, status, evidence))
 
 
 def _fail(check_id, n, counterexample, **extra):

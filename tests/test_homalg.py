@@ -1,6 +1,5 @@
 import hashlib
 import re
-from dataclasses import replace
 from math import comb
 from random import Random
 
@@ -141,6 +140,26 @@ class TestChaseSolve:
         message = f"label format {shown} must hold exactly one {{i}} field and no other brace"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             homalg.long_exact_system("bad", 1, (("A^{i}", None), (fmt, {})))
+
+    def test_duplicate_label_is_named(self):
+        with pytest.raises(ValueError, match="^duplicate label 'A' in system 'bad'$"):
+            ChaseSystem("bad", (ChaseTerm("A", 0), ChaseTerm("A", 1)))
+        # the first label met a second time, not the first of the repeated ones
+        terms = (ChaseTerm("A", 0), ChaseTerm("B", 1), ChaseTerm("B", 2), ChaseTerm("A", 3))
+        with pytest.raises(ValueError, match="^duplicate label 'B' in system 'twice'$"):
+            ChaseSystem("twice", terms)
+
+    @pytest.mark.parametrize("dims, degree", [({5: 3, -1: 2}, 5), ({0: 1, -1: 2}, -1), ({3: 0}, 3)])
+    def test_degree_outside_the_sequence_rejected(self, dims, degree):
+        message = f"column 'B^{{i}}' has a dimension at degree {degree}, outside 0..2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            homalg.long_exact_system("x", 1, (("A^{i}", None), ("B^{i}", dims)))
+
+    def test_long_format_shortened_in_degree_error(self):
+        fmt = "a column format of more than forty characters, h^{i}"
+        message = "column 'a column format of m'... (52 characters) has a dimension at degree 9"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, outside 0..4$"):
+            homalg.long_exact_system("x", 2, ((fmt, {9: 1}),))
 
     def test_good_label_format(self):
         sysm = homalg.long_exact_system("good", 1, (
@@ -351,7 +370,7 @@ class TestIdealSelfExt:
 
     def test_perturbed_input_is_inconsistent(self):
         system = ideal_cohomology_system(2)
-        bad = replace(system, terms=tuple(
+        bad = ChaseSystem(system.name, tuple(
             t._replace(dim=1) if t.label == "h^4(O_Y)" else t for t in system.terms
         ))
         with pytest.raises(ChaseInconsistencyError):

@@ -3,6 +3,9 @@ with stable reprs (error messages such as KoszulResolution's embed them)
 and with their constructors' checks."""
 
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,13 +105,12 @@ def _hash(value):
                          ids=[case[0].__name__ for case in CASES])
 def test_value_type(cls, args, field, shown, rejects):
     value = cls(*args)
-    if cls is not RunConfig:   # RunConfig is still a mutable dataclass
-        with pytest.raises(AttributeError):
-            setattr(value, field, getattr(value, field))
-        with pytest.raises(AttributeError):
-            delattr(value, field)
-        with pytest.raises(AttributeError):
-            value.extra = 1
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
     twin = cls(*args)
     assert value == twin
     assert _hash(value) == _hash(twin)
@@ -131,3 +133,13 @@ def test_check_result_evidence_defaults_to_a_fresh_dict():
     first, second = CheckResult("a", 2, Status.PASS), CheckResult("b", 2, Status.PASS)
     assert first.evidence == second.evidence == {}
     assert first.evidence is not second.evidence
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # -S: without site, which may import modules of its own
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import flopcalc.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == []
