@@ -32,9 +32,8 @@ safe to use from concurrent code without locking.  Immutable values across
 the package are written so that defining them costs nothing at import: a
 ``collections.namedtuple`` subclass with ``__slots__ = ()`` whose checks run
 in ``__new__`` (``_replace`` and ``_make`` skip ``__new__``, so the package
-never calls them on a checked type), or, where a field is read on a cache
-hit, a ``__slots__`` class, since CPython 3.11 specialises a slot read but
-not a namedtuple field read.
+never calls them on a checked type).  ``pbundle.ModelVariety`` says why two
+of them are ``__slots__`` classes instead.
 """
 
 from __future__ import annotations
@@ -226,9 +225,10 @@ def levi_rank(w):
     return weyl_dim(w.lam)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bott_cohomology(w):
-    """Full cohomology table of a LeviWeight; at most one degree is nonzero."""
+    """Full cohomology table of a LeviWeight; at most one degree is nonzero.
+    The cache is typed, so a plain tuple equal to a cached weight misses it."""
     lam, t, n = w.lam, w.t, w.n
     # beta_i = lam_i + n - i strictly decreases for i < n, so the degree is
     # the number of those below beta_n = t, counted up from the bottom row

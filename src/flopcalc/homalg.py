@@ -394,33 +394,22 @@ def reference_chase_systems(n):
         restriction_chase_system(p, n) for p in range(1, n + 1)]
 
 
-def _solved_ideal_self_chase(n):
-    ideal, centre, self_ext = _ideal_self_chase(n)
-    return ideal, centre, chase_solve(self_ext)
-
-
-def _traces(solutions):
-    return [(s.system.name, s.trace) for s in solutions]
-
-
 def ext2_ideal_self(n):
-    """dim Ext^2(I, I), the degree-2 self-extension count of the ideal sheaf.
-
-    Restricted to n = 2: the chase relies on vanishing specific to the
-    4-fold case.  Returns 1 there; raises if the chase cannot settle it.
-    """
+    """dim Ext^2(I, I), the degree-2 self-extension count of the ideal sheaf;
+    see ext2_ideal_self_with_trace."""
     return ext2_ideal_self_with_trace(n)[0]
 
 
 def ext2_ideal_self_with_trace(n):
-    """ext2_ideal_self and the chase traces behind it, read from one solve
-    of each system."""
+    """dim Ext^2(I, I) and the chase traces behind it, read from one solve
+    of each system.
+
+    Restricted to n = 2: the chase relies on vanishing specific to the
+    4-fold case.  The value is 1 there; raises if the chase cannot settle it.
+    """
     if n != 2:
         raise ValueError("the degree-2 self-Ext chase is specific to n = 2")
-    solutions = _solved_ideal_self_chase(n)
-    return solutions[-1].require("Ext^2(I,I)"), _traces(solutions)
-
-
-def ext2_ideal_self_trace(n):
-    """The chase traces behind ext2_ideal_self, for reporting."""
-    return _traces(_solved_ideal_self_chase(n))
+    ideal, centre, self_ext = _ideal_self_chase(n)
+    self_ext = chase_solve(self_ext)
+    traces = [(s.system.name, s.trace) for s in (ideal, centre, self_ext)]
+    return self_ext.require("Ext^2(I,I)"), traces

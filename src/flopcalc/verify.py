@@ -43,10 +43,10 @@ def _fail(check_id, n, counterexample, **extra):
     )
 
 
-def verify_lemma_1_3(n, pic_map=None):
+def verify_lemma_1_3(n):
     """Picard transport: involution, fixed canonical class, and the section
     count of the cross class (1, -1) equal to n + 1."""
-    pic = pic_map if pic_map is not None else flop.phi_pullback(n)
+    pic = flop.phi_pullback(n)
     evidence = {"matrix": [list(r) for r in pic.rows]}
     if not pic.is_involution():
         return _fail("lemma-1-3", n, {"matrix_squared": pic.compose(pic).rows}, **evidence)
@@ -149,7 +149,7 @@ def verify_cor_2_2():
     evidence = {
         "ext2_source": source,
         "ext2_image": image,
-        "h2_structure_sheaf": pbundle.structure_cohomology(variety).get(2),
+        "h2_structure_sheaf": pbundle.cohomology_X(XLineBundle(variety, 0, 0)).get(2),
         "ext_table_centre": homalg.ext_table_OY(n).dims(),
     }
     if (source, image) != (0, 1):
@@ -251,13 +251,13 @@ def verify_prop_3_5(n):
     return CheckResult("prop-3-5", n, Status.PASS, {"pairs": len(omega_prime) ** 2})
 
 
-def verify_serre_3_6(n, pic_map=None):
+def verify_serre_3_6(n):
     """Lattice-level compatibility of the transport with the Serre twist.
 
     The transport must fix the canonical class omega and, for every class c
     in the second spanning rectangle, send c + omega to psi(c) + omega+.
     """
-    pic = pic_map if pic_map is not None else flop.phi_pullback(n)
+    pic = flop.phi_pullback(n)
     omega = pbundle.canonical_class(ModelVariety(n))
     omega_plus = pbundle.canonical_class(ModelVariety(n, Side.X_PLUS))
     evidence = {"matrix": [list(r) for r in pic.rows], "canonical_class": omega.coords()}

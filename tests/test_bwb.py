@@ -113,6 +113,17 @@ class TestBottCohomology:
         for w in small_weights(2, 4):
             assert max(bott_cohomology(w).dims(), default=0) <= w.n
 
+    def test_plain_tuple_gets_no_cached_table(self):
+        # the cache is typed, so the answer to a tuple equal to a weight does
+        # not depend on whether that weight's table is cached
+        w = LeviWeight(2, (0, 0), -1)
+        bott_cohomology.cache_clear()
+        with pytest.raises(AttributeError, match="'tuple' object has no attribute 'lam'"):
+            bott_cohomology(tuple(w))
+        assert bott_cohomology(w).dims() == {0: 3}
+        with pytest.raises(AttributeError, match="'tuple' object has no attribute 'lam'"):
+            bott_cohomology(tuple(w))
+
     @pytest.mark.parametrize("fake_dim", [0, -1])
     def test_non_positive_dominant_dimension_raises(self, monkeypatch, fake_dim):
         # mu is dominant on every path that reaches weyl_dim, so a dimension

@@ -1,5 +1,6 @@
 import pytest
 
+from flopcalc import flop
 from flopcalc.flop import (
     FMImage,
     FunctorRangeError,
@@ -144,8 +145,9 @@ class TestSerreCompatibility:
     def test_holds_for_the_flop_transport(self, n):
         assert verify_serre_3_6(n).status is Status.PASS
 
-    def test_perturbed_map_fails(self):
-        assert verify_serre_3_6(2, pic_map=SHEAR).status is Status.FAIL
+    def test_perturbed_map_fails(self, monkeypatch):
+        monkeypatch.setattr(flop, "phi_pullback", lambda n: SHEAR)
+        assert verify_serre_3_6(2).status is Status.FAIL
 
 
 class TestHomPreservation:

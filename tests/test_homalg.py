@@ -17,7 +17,7 @@ from flopcalc.homalg import (
     DegeneracyUnjustifiedError,
     chase_solve,
     ext2_ideal_self,
-    ext2_ideal_self_trace,
+    ext2_ideal_self_with_trace,
     ext_centre_vs_ideal_system,
     ext_locally_free_vs_ideal,
     ext_OY_structure,
@@ -379,7 +379,7 @@ class TestIdealSelfExt:
             chase_solve(bad, reverse=True)
 
     @pytest.mark.parametrize("name, n, solves", [
-        ("ext2_ideal_self_trace", 2, 3),
+        ("ext2_ideal_self_with_trace", 2, 3),
         ("ext2_ideal_self", 2, 3),
         ("reference_chase_systems", 2, 2),
         ("reference_chase_systems", 4, 2),
@@ -396,6 +396,6 @@ class TestIdealSelfExt:
         assert len(solved) == len(set(solved)) == solves
 
     def test_traces_name_the_solved_terms(self):
-        traces = dict(ext2_ideal_self_trace(2))
+        traces = dict(ext2_ideal_self_with_trace(2)[1])
         steps = traces["ext-ideal-self-n2"]
         assert ("Ext^2(I,I)", "alternating-sum", 1) in steps

@@ -71,19 +71,19 @@ class TestOracleSelfChecks:
 
 
 class TestEngineAgreement:
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_line_bundles(self, n):
         for k in range(-8, 9):
             engine = bott_cohomology(line_bundle(n, k)).dims()
             assert engine == line_bundle_cohomology(n, k), (n, k)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tangent_twists(self, n):
         for m in range(-5, 6):
             engine = bott_cohomology(twist(tangent_bundle(n), m)).dims()
             assert engine == tangent_twist_cohomology(n, m), (n, m)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_form_twists(self, n):
         for p in range(n + 1):
             for k in range(-5, 6):

@@ -30,7 +30,6 @@ from flopcalc.pbundle import (
     cohomology_X,
     cohomology_with_pullback_twist,
     hom_dims,
-    structure_cohomology,
 )
 
 
@@ -87,7 +86,6 @@ class TestLatticeArithmetic:
 class TestCohomology:
     def test_structure_sheaf(self, v2):
         assert cohomology_X(XLineBundle(v2, 0, 0)).dims() == {0: 1}
-        assert structure_cohomology(v2).dims() == {0: 1}
 
     @pytest.mark.parametrize("n,h0", [(2, 3), (3, 4), (5, 6)])
     def test_cross_class_sections(self, n, h0):
@@ -192,11 +190,6 @@ class TestPullbackTwists:
         right = cohomology_with_pullback_twist(v2, 1, tangent_bundle(2))
         assert left == right.reflect(4)
 
-    def test_zero_bundle(self, v2):
-        from flopcalc.bwb import HomogeneousBundle
-
-        assert cohomology_with_pullback_twist(v2, 1, HomogeneousBundle(())).is_zero()
-
     def test_structure_twist_consistency(self, v2):
         table = cohomology_with_pullback_twist(v2, 0, structure_sheaf(2))
         assert table.dims() == {0: 1}
@@ -242,7 +235,7 @@ class TestClosedFormMatchesLoop:
         ahead = {k: loop_tables(HomogeneousBundle((line_bundle(n, k),)), 30)
                  for k in range(-30, 31)}
         for k in range(-30, 31):
-            pullback = HomogeneousBundle((line_bundle(n, k),))
+            pullback = line_bundle(n, k)
             for j in range(-30, 31):
                 if j >= 0:
                     expect = ahead[k][j]

@@ -98,8 +98,9 @@ class TestIndividualSuites:
         assert result.status is Status.PASS
         assert result.evidence["h0_cross_class"] == n + 1
 
-    def test_lemma_1_3_negative_control(self):
-        result = verify_lemma_1_3(2, pic_map=SHEAR)
+    def test_lemma_1_3_negative_control(self, monkeypatch):
+        monkeypatch.setattr(flop, "phi_pullback", lambda n: SHEAR)
+        result = verify_lemma_1_3(2)
         assert result.status is Status.FAIL
         assert "counterexample" in result.evidence
 
@@ -345,9 +346,10 @@ class TestIndividualSuites:
         assert result.status is Status.PASS
         assert result.evidence["canonical_class"] == (-n - 1, 0)
 
-    def test_serre_3_6_negative_control(self):
+    def test_serre_3_6_negative_control(self, monkeypatch):
         # SHEAR fixes the canonical class, so only the psi comparison catches it
-        result = verify_serre_3_6(2, pic_map=SHEAR)
+        monkeypatch.setattr(flop, "phi_pullback", lambda n: SHEAR)
+        result = verify_serre_3_6(2)
         assert result.status is Status.FAIL
         assert result.evidence["counterexample"] == {"matrix": [[1, 1], [0, 1]]}
 
