@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -354,6 +355,14 @@ class TestOutputStability:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_verify_all_json_digest(self, capsys):
+        # sha256 of the stdout bytes of `verify all --max-n 12 --json`,
+        # recorded before the verify suites looked tables up by (j, k)
+        code, out, _ = run(capsys, "verify", "all", "--max-n", "12", "--json")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "1bd7cb7070f5451234f59835028d5f616b6a4b2973e5f9613316d901e9b51619"
 
     def test_every_subcommand_supports_json(self, capsys):
         invocations = [
