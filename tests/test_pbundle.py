@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flopcalc import pbundle
+from flopcalc import flop, pbundle
 from flopcalc.bwb import (
     EMPTY_TABLE,
     CohomologyTable,
@@ -36,6 +36,44 @@ from flopcalc.pbundle import (
 @pytest.fixture
 def v2():
     return ModelVariety(2)
+
+
+# Riemann-Roch on the base, sharing no code with the engine:
+# chi(P^n, O(m)) = C(m + n, n) as a polynomial in m, and the Euler sequence
+# gives chi(Sym^a Theta(k)) = C(n+a, n) chi(O(a+k)) - C(n+a-1, n) chi(O(a-1+k)).
+# chi(X, O(j) (x) pi^*O(k)) = sum over a <= j of those, continued to j < 0
+# as the polynomial it is (the empty sum at j = -1).
+
+
+def binom_poly(m, r):
+    num = 1
+    for i in range(r):
+        num *= m - i
+    return num // factorial(r)
+
+
+def chi_sym(n, a, k):
+    return (binom_poly(n + a, n) * binom_poly(a + k + n, n)
+            - binom_poly(n + a - 1, n) * binom_poly(a - 1 + k + n, n))
+
+
+def chi_box(n, js, ks):
+    """chi(X, O(j) (x) pi^*O(k)) for j in js, k in ks, by the sum above.
+
+    The sums over a run upward from a = 0 and downward from a = -1 as
+    prefix sums, so the box costs one chi_sym per (j, k), not |j| of them.
+    """
+    chi = {}
+    for k in ks:
+        total = 0
+        for j in range(0, max(js) + 1):
+            total += chi_sym(n, j, k)
+            chi[j, k] = total
+        total = 0
+        for j in range(-1, min(js) - 1, -1):
+            chi[j, k] = total
+            total -= chi_sym(n, j, k)
+    return {(j, k): chi[j, k] for j in js for k in ks}
 
 
 class TestCohomologyXRegression:
@@ -138,6 +176,60 @@ class TestHomDims:
         table = hom_dims(XLineBundle(v2, 0, 1), XLineBundle(v2, 0, 0))
         assert table.is_zero()
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_is_the_cohomology_of_the_difference(self, n):
+        # every pair of the second spanning rectangle, and of its psi images
+        rect = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
+        images = [flop.apply_psi(c) for c in rect]
+        for classes in (rect, images):
+            for a in classes:
+                for b in classes:
+                    assert hom_dims(a, b) == cohomology_X(b - a), (n, a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        (XLineBundle(ModelVariety(2), 0, 0), XLineBundle(ModelVariety(2, Side.X_PLUS), 0, 0)),
+        (XLineBundle(ModelVariety(3, Side.X_PLUS), 1, -1), XLineBundle(ModelVariety(3), 1, -1)),
+        (XLineBundle(ModelVariety(2), 0, 0), XLineBundle(ModelVariety(3), 0, 0)),
+        (XLineBundle(ModelVariety(3), -1, 2), XLineBundle(ModelVariety(2), 1, 0)),
+    ])
+    def test_mismatched_varieties_rejected(self, a, b):
+        # the text of b - a, which names b's variety first
+        message = f"classes live on different varieties: {b.variety} vs {a.variety}"
+        for difference in (lambda: hom_dims(a, b), lambda: b - a):
+            with pytest.raises(ValueError) as info:
+                difference()
+            assert str(info.value) == message
+
+
+class TestPsiPreservesEuler:
+    # Prop 3.5 through chi alone, sharing no code with the engine: psi sends
+    # (x, y) to (x + y, -y), and chi(X, O(x, y)) = chi(X+, O(x + y, -y)).
+    # Both sides have degree at most 2n in each variable, so the box
+    # [-n, n]^2 of differences already forces the identity.
+    @pytest.mark.parametrize("n, r", [
+        *((n, n) for n in range(2, 13)), *((n, 4 * n) for n in range(2, 7)),
+    ])
+    def test_identity_on_the_box(self, n, r):
+        box = range(-r, r + 1)
+        chi = chi_box(n, range(-2 * r, 2 * r + 1), box)
+        for x in box:
+            for y in box:
+                assert chi[x, y] == chi[x + y, -y], (n, x, y)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_hom_dims_euler_on_the_witnesses(self, n):
+        # one witness pair (a, b) in the rectangle per difference (dj, dk),
+        # the one with min(a.j, b.j) = min(a.k, b.k) = -n
+        v = ModelVariety(n)
+        chi = chi_box(n, range(-2 * n, 2 * n + 1), range(-n, n + 1))
+        for dj in range(-n, n + 1):
+            for dk in range(-n, n + 1):
+                a = XLineBundle(v, max(-n, -n - dj), max(-n, -n - dk))
+                b = XLineBundle(v, a.j + dj, a.k + dk)
+                pa, pb = flop.apply_psi(a), flop.apply_psi(b)
+                assert hom_dims(a, b).euler() == chi[dj, dk], (n, dj, dk)
+                assert hom_dims(pa, pb).euler() == chi[dj + dk, -dk], (n, dj, dk)
+
 
 class TestEulerChar:
     def test_examples(self, v2):
@@ -153,22 +245,6 @@ class TestPullbackTwists:
             assert table.is_zero()
 
     def test_line_bundle_twist_euler_closed_form(self):
-        # Riemann-Roch on the base, sharing no code with the engine:
-        # chi(P^n, O(m)) = C(m + n, n) as a polynomial in m, and the Euler
-        # sequence gives chi(Sym^a Theta(k)) =
-        #   C(n+a, n) chi(O(a+k)) - C(n+a-1, n) chi(O(a-1+k)).
-        # chi(X, O(j) (x) pi^*O(k)) = sum over a <= j of those, continued
-        # to j < 0 as the polynomial it is (the empty sum at j = -1).
-        def binom_poly(m, r):
-            num = 1
-            for i in range(r):
-                num *= m - i
-            return num // factorial(r)
-
-        def chi_sym(n, a, k):
-            return (binom_poly(n + a, n) * binom_poly(a + k + n, n)
-                    - binom_poly(n + a - 1, n) * binom_poly(a - 1 + k + n, n))
-
         checked = 0
         for n in range(3, 7):
             v = ModelVariety(n)
