@@ -62,8 +62,8 @@ The flopped side carries an isomorphic bundle structure, so tables do not
 depend on the ``side`` tag; it exists to keep functor domains honest.  The
 model is only defined for n >= 2 (n = 1 degenerates to an isomorphism).
 
-Pure functions over immutable values throughout; sweeps may be parallelised
-over (n, j, k) without shared state.
+Pure functions over immutable values.  The only shared state is two unbounded
+``lru_cache``s, which only memoise: the tables by (n, j, k) and Bott's.
 """
 
 from __future__ import annotations
@@ -191,6 +191,10 @@ def _cohomology_coords(n, j, k):
     return CohomologyTable.from_dict(dims)
 
 
+# the tables by (n, j, k); rebinding this name leaves the cache's recursion alone
+cohomology_coords = _cohomology_coords
+
+
 def cohomology_X(lb):
     """Exact dimensions h^i(X, O_X(j) (x) pi^*O(k)) for all i."""
     return _cohomology_coords(lb.variety.n, lb.j, lb.k)
@@ -281,5 +285,8 @@ def _add_run(w, first, last, dims):
 
 
 def hom_dims(a, b):
-    """Hom^i(a, b) of line-bundle classes: cohomology of the difference b - a."""
-    return cohomology_X(b - a)
+    """Hom^i(a, b) of line-bundle classes: the cohomology of b - a, read at
+    its coordinates without building it; raises as b - a does."""
+    if a.variety is not b.variety:
+        b._require_same(a)
+    return _cohomology_coords(a.variety.n, b.j - a.j, b.k - a.k)

@@ -167,7 +167,7 @@ def verify_lemma_3_4(n):
     computed once, since a repeat passed when first met (or the suite would
     have returned), while ``cases`` still counts every (family, l, m).
     """
-    variety = ModelVariety(n)
+    ModelVariety(n)  # the model needs n >= 2
     cases = 0
     checked = set()
     for l in range(-n, n + 1):
@@ -177,7 +177,7 @@ def verify_lemma_3_4(n):
                 if (j, k) in checked:
                     continue
                 checked.add((j, k))
-                table = pbundle.cohomology_X(XLineBundle(variety, j, k))
+                table = pbundle.cohomology_coords(n, j, k)
                 higher = {i: d for i, d in table.entries if i > 0}
                 if higher:
                     return _fail(
@@ -258,12 +258,13 @@ def verify_serre_3_6(n):
     in the second spanning rectangle, send c + omega to psi(c) + omega+.
     """
     pic = flop.phi_pullback(n)
-    omega = pbundle.canonical_class(ModelVariety(n))
-    omega_plus = pbundle.canonical_class(ModelVariety(n, Side.X_PLUS))
-    evidence = {"matrix": [list(r) for r in pic.rows], "canonical_class": omega.coords()}
-    compatible = pic.apply(*omega.coords()) == omega.coords() and all(
-        pic.apply(*(c + omega).coords()) == (flop.apply_psi(c) + omega_plus).coords()
-        for c in flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
+    omega = pbundle.canonical_class(ModelVariety(n)).coords()
+    (oj, ok), (pj, pk) = omega, pbundle.canonical_class(ModelVariety(n, Side.X_PLUS)).coords()
+    evidence = {"matrix": [list(r) for r in pic.rows], "canonical_class": omega}
+    rect = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
+    compatible = pic.apply(*omega) == omega and all(
+        pic.apply(c.j + oj, c.k + ok) == (im.j + pj, im.k + pk)
+        for c, im in zip(rect, map(flop.apply_psi, rect))
     )
     if not compatible:
         return _fail("serre-3-6", n, {"matrix": evidence["matrix"]}, **evidence)

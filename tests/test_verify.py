@@ -45,11 +45,10 @@ def first_failing_pair(n, psi):
 def first_lemma_3_4_failure(n):
     """Brute force: the first (family, l, m), in the suite's order, whose class
     has higher cohomology, computing every case's table; None if there is none."""
-    variety = ModelVariety(n)
     for l in range(-n, n + 1):
         for m in range(-n, n + 1):
             for family, (j, k) in (("direct", (l, m)), ("flopped", (l + m, -m))):
-                dims = pbundle.cohomology_X(XLineBundle(variety, j, k)).dims()
+                dims = pbundle.cohomology_coords(n, j, k).dims()
                 higher = {i: d for i, d in dims.items() if i > 0}
                 if higher:
                     return {"family": family, "l": l, "m": m, "higher": higher}
@@ -304,13 +303,13 @@ class TestIndividualSuites:
     @pytest.mark.parametrize("n, distinct", [(2, 31), (5, 151)])
     def test_lemma_3_4_computes_each_class_once(self, monkeypatch, n, distinct):
         classes = []
-        cohomology_X = pbundle.cohomology_X
+        cohomology_coords = pbundle.cohomology_coords
 
-        def counting(lb):
-            classes.append(lb.coords())
-            return cohomology_X(lb)
+        def counting(n, j, k):
+            classes.append((j, k))
+            return cohomology_coords(n, j, k)
 
-        monkeypatch.setattr(pbundle, "cohomology_X", counting)
+        monkeypatch.setattr(pbundle, "cohomology_coords", counting)
         result = verify_lemma_3_4(n)
         assert result.status is Status.PASS
         assert result.evidence["cases"] == 2 * (2 * n + 1) ** 2
@@ -325,15 +324,15 @@ class TestIndividualSuites:
         (5, (4, 4), "direct"),
     ])
     def test_lemma_3_4_negative_control(self, monkeypatch, n, bad, family):
-        cohomology_X = pbundle.cohomology_X
+        cohomology_coords = pbundle.cohomology_coords
 
-        def patched(lb):
-            table = cohomology_X(lb)
-            if lb.coords() == bad:
+        def patched(n, j, k):
+            table = cohomology_coords(n, j, k)
+            if (j, k) == bad:
                 return CohomologyTable.from_dict({**table.dims(), 1: 2})
             return table
 
-        monkeypatch.setattr(pbundle, "cohomology_X", patched)
+        monkeypatch.setattr(pbundle, "cohomology_coords", patched)
         expected = first_lemma_3_4_failure(n)
         assert expected["family"] == family
         result = verify_lemma_3_4(n)
@@ -369,6 +368,13 @@ class TestRunner:
         assert run_check("lemma-3-4", 2).status is Status.PASS
         with pytest.raises(ValueError):
             run_check("lemma-9-9", 2)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    @pytest.mark.parametrize("check_id", sorted(verify.SWEPT_CHECKS))
+    def test_swept_check_rejects_degenerate_n(self, check_id, n):
+        with pytest.raises(ValueError) as info:
+            run_check(check_id, n)
+        assert str(info.value) == f"the model needs n >= 2, got n={n}"
 
     def test_run_all_rejects_small_bound(self):
         with pytest.raises(ValueError):
