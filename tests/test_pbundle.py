@@ -58,7 +58,7 @@ def chi_sym(n, a, k):
 
 
 def chi_box(n, js, ks):
-    """chi(X, O(j) (x) pi^*O(k)) for j in js, k in ks, by the sum above.
+    """chi(X, O(j) (x) pi^*O(k)) for j over js and k in ks, by the sum above.
 
     The sums over a run upward from a = 0 and downward from a = -1 as
     prefix sums, so the box costs one chi_sym per (j, k), not |j| of them.
@@ -73,7 +73,7 @@ def chi_box(n, js, ks):
         for j in range(-1, min(js) - 1, -1):
             chi[j, k] = total
             total -= chi_sym(n, j, k)
-    return {(j, k): chi[j, k] for j in js for k in ks}
+    return chi
 
 
 class TestCohomologyXRegression:
