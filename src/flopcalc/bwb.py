@@ -17,15 +17,12 @@ Cohomology is concentrated in at most one degree: append ``t`` to ``lam``,
 add the staircase vector ``rho = (n, ..., 1, 0)``, and either two entries
 collide (no cohomology at all) or the number of inversions needed to sort
 the result strictly decreasing is the one degree carrying sections, whose
-dimension is a Weyl dimension.  As ``lam`` is non-increasing, the degree
-is the count of entries below ``t``, found in O(n) steps; the Weyl product
-runs over pairs of blocks of equal entries (see ``weyl_dim``), so the cost
-is polynomial in n.  The Pieri rule ``tensor_with_sym`` gives a lam of one
-run, as every line bundle has, its one summand at once, and walks any other
-lam run by run on an explicit stack: only the first row of each run of equal
-entries takes boxes.  ``cohomology_sum`` of one summand is that summand's
-Bott table.  All arithmetic is exact; dimensions are plain Python integers
-of unbounded size.
+dimension is a Weyl dimension.  ``bott_sort`` finds that degree and the
+sorted weight, uncached, and ``bott_cohomology`` caches the table built from
+them.  As ``lam`` is non-increasing, the degree is the count of entries
+below ``t``, found in O(n) steps; the Weyl product runs over pairs of blocks
+of equal entries (see ``weyl_dim``), so the cost is polynomial in n.  All
+arithmetic is exact; dimensions are plain Python integers of unbounded size.
 
 Every function here is pure and every value immutable, so the module is
 safe to use from concurrent code without locking.  Immutable values across
@@ -225,10 +222,9 @@ def levi_rank(w):
     return weyl_dim(w.lam)
 
 
-@lru_cache(maxsize=None, typed=True)
-def bott_cohomology(w):
-    """Full cohomology table of a LeviWeight; at most one degree is nonzero.
-    The cache is typed, so a plain tuple equal to a cached weight misses it."""
+def bott_sort(w):
+    """Bott's sort of w, uncached: ``(degree, mu)``, mu the dominant weight whose
+    Weyl dimension that degree carries, or None when two entries collide."""
     lam, t, n = w.lam, w.t, w.n
     # beta_i = lam_i + n - i strictly decreases for i < n, so the degree is
     # the number of those below beta_n = t, counted up from the bottom row
@@ -236,11 +232,21 @@ def bott_cohomology(w):
     while below < n and lam[n - 1 - below] + 1 + below < t:
         below += 1
     if below < n and lam[n - 1 - below] + 1 + below == t:
-        return EMPTY_TABLE
+        return None
     cut = n - below
-    mu = lam[:cut] + (t - below,) + tuple(a + 1 for a in lam[cut:])
     # the loop leaves lam[cut - 1] >= t - below >= lam[cut] + 1, so mu is
     # dominant and its Weyl dimension is positive
+    return below, lam[:cut] + (t - below,) + tuple(a + 1 for a in lam[cut:])
+
+
+@lru_cache(maxsize=None, typed=True)
+def bott_cohomology(w):
+    """Full cohomology table of a LeviWeight; at most one degree is nonzero.
+    The cache is typed, so a plain tuple equal to a cached weight misses it."""
+    sort = bott_sort(w)
+    if sort is None:
+        return EMPTY_TABLE
+    below, mu = sort
     dim = weyl_dim(mu)
     if dim <= 0:
         raise ArithmeticError(f"Weyl dimension of dominant {mu} is {dim}, not positive")

@@ -15,20 +15,14 @@ The sum over a is taken in closed form, in runs.  For the twisting weight
 w = (lam, t), the Pieri summands of Sym^a Theta (x) w are (mu, t - a) with
 mu a horizontal strip of size a over lam.  Bott's rule reads
 beta = (mu_0 + n, mu_1 + n - 1, ..., mu_{n-1} + 1, t - a): the summand's
-Euler characteristic is Weyl's product prod_{p<q} (beta_p - beta_q) / (q - p)
-in this order, and its cohomology sits in the degree that counts the entries
-of beta_0..beta_{n-1} below t - a, or nowhere when t - a equals one of them.
+cohomology sits in the degree that counts the entries of beta_0..beta_{n-1}
+below t - a, or nowhere when t - a equals one of them.
 
-  * chi(a), the Euler characteristic summed over the strips, is a
-    polynomial in a of degree at most 2n - 1.  From a = lam_0 - lam_{n-1}
-    on, the strips are mu = (a + c, mu_1, ..., mu_{n-1}) with the lower rows
-    over a fixed box and lam_{n-1} <= c <= lam_0.  Only beta_0 = a + c + n
-    and beta_n = t - a move, and 2n - 1 of the factors contain one of them.
-    Below that a, Weyl's character formula still sums the box to the
-    character of Sym^a Q (x) S_lam Q: as functions of a both are sums of
-    x_i^a times coefficients free of a (by h_a = sum_i x_i^(a+n-1) /
-    prod_{l != i} (x_i - x_l)), and two such sums that agree at n
-    consecutive a agree at every a > -n.
+  * On the base, Sym^a of the Euler sequence 0 -> O -> V(1) -> Theta -> 0,
+    V = C^{n+1}, is 0 -> S^{a-1}V (x) w(a-1) -> S^a V (x) w(a) ->
+    Sym^a Theta (x) w -> 0 with w(a) = twist(w, a), so the Euler
+    characteristics telescope: over a = first..last they sum to
+    C(n + last, n) chi(w(last)) - C(n + first - 1, n) chi(w(first - 1)).
   * The degree changes only where t - a passes one of the first n entries.
     The first n strictly decrease, so the values of a evaluated directly
     are those with lam_{n-1} + 2 <= t - a <= lam_0 + n - 2, strictly inside
@@ -40,23 +34,22 @@ of beta_0..beta_{n-1} below t - a, or nowhere when t - a equals one of them.
 
 The two ranges cut 0..j into at most three runs, and each also cuts when no
 a fits in it.  On a run the summands that carry cohomology all sit in one
-degree d, which is then (-1)^d chi(a).  A run of more than 2n + 1 values is
-summed from its first 2n values by Newton forward differences, in integers.
-A shorter run, where the 2n sample tables would cost more than the values
-they save, is evaluated at every a, together with the critical ranges in one
-cohomology_sum call; so is every class with j <= 2n.  A class thus costs
+degree d, which holds (-1)^d times the telescoped sum: two Bott evaluations
+however long the run.  d is read from Pieri probes at the a nearest each end
+whose summands carry cohomology.  Ends that disagree, or a dimension that is
+not positive, raise ArithmeticError; for a line bundle, whose one summand's
+degree only falls as a grows, ends that agree fix d across the run.  Runs of
+one value, the critical ranges and every class with j <= 2n are evaluated at
+every a, in one cohomology_sum call.  A class thus costs
 O(n + lam_0 - lam_{n-1}) Pieri decompositions, however large j and t (and so
 k) are.
 
-cohomology_X, the line-bundle case, keeps its tables in one cache and reuses
-them along j.  For 0 <= j <= 2n the table at (j, k) is the table at
-(j - 1, k) plus the one Pieri step a = j, added degree by degree, so a miss
-costs one Pieri step once (j - 1, k) is cached.  The prefix is built upward
-from a = 0 in a loop whose calls below j are cache hits once built, so the
-recursion depth does not grow with n or j.  A class with
--3n - 1 <= j <= -n - 1 reflects by Serre duality into that range, as
+cohomology_X, the line-bundle case, caches its tables by (n, j, k).  For
+0 <= j <= 2n the table at (j, k) is the table at (j - 1, k) plus the Pieri
+step a = j, so a miss costs one step once (j - 1, k) is cached.  A class with
+-3n - 1 <= j <= -n - 1 reflects into that range by Serre duality, as
 (-n - 1 - j, -k) read backwards from degree 2n.  Every other j takes the
-branches above, with the closed form for j > 2n.
+branches above.
 
 The flopped side carries an isomorphic bundle structure, so tables do not
 depend on the ``side`` tag; it exists to keep functor domains honest.  The
@@ -76,11 +69,13 @@ from .bwb import (
     EMPTY_TABLE,
     CohomologyTable,
     HomogeneousBundle,
-    bott_cohomology,
+    bott_sort,
     cohomology_sum,
     dual,
     line_bundle,
     tensor_with_sym,
+    twist,
+    weyl_dim,
 )
 
 
@@ -95,11 +90,9 @@ def _frozen(self, name, value=None):
 
 class ModelVariety:
     """X over P^n, or its flop X+.  This class and XLineBundle are
-    ``__slots__`` classes, not namedtuples like the package's other values:
-    ``cohomology_X`` reads ``variety.n``, ``j`` and ``k`` on every cache
-    hit, and CPython 3.11 specialises a slot read but not a namedtuple field
-    read.  A hit took 161 ns with these classes and 220 ns with namedtuple
-    fields (CPython 3.11.7, 2-vCPU Xeon, best of 15 alternated processes)."""
+    ``__slots__`` classes, not namedtuples, as CPython 3.11 specialises a slot
+    read: a ``cohomology_X`` hit, which reads ``variety.n``, ``j`` and ``k``,
+    took 161 ns with them and 220 ns with namedtuple fields."""
 
     __slots__ = ("n", "side")
     __setattr__ = __delattr__ = _frozen
@@ -113,7 +106,7 @@ class ModelVariety:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n, self.side) == (other.n, other.side)
+        return self.n == other.n and self.side == other.side
 
     def __hash__(self):
         return hash((self.n, self.side))
@@ -179,9 +172,8 @@ def _cohomology_coords(n, j, k):
         return _cohomology_coords(n, -n - 1 - j, -k).reflect(2 * n)
     if not 0 <= j <= 2 * n:
         return cohomology_with_pullback_twist(ModelVariety(n), j, line_bundle(n, k))
-    # the prefix: the table at j - 1 plus the a = j Pieri step.  Walking up
-    # from a = 0, each call below j is a cache hit once built, so the
-    # recursion depth does not grow with n or j.
+    # the prefix: the table at j - 1 plus the a = j Pieri step, walked up from
+    # a = 0 so that the recursion depth does not grow with n or j
     below = EMPTY_TABLE
     for a in range(j):
         below = _cohomology_coords(n, a, k)
@@ -201,19 +193,8 @@ def cohomology_X(lb):
 
 
 def cohomology_with_pullback_twist(variety, j, w):
-    """h^i(X, O_X(j) (x) pi^* F) for F on the base of Levi weight w.
-
-    Three branches, by where j sits relative to the fibre dimension n:
-
-      * j >= 0        : pi_* O_X(j) = Sym^j(O + Theta), the sum of Sym^a Theta
-                        for a <= j; each is tensored against F by the Pieri
-                        rule and summed on the base, run by run in closed
-                        form (see the module docstring);
-      * -n <= j <= -1 : the fibres carry no cohomology, everything vanishes;
-      * j <= -n-1     : Serre duality against omega_X = O_X(-n-1) turns the
-                        class into O_X(-n-1-j) (x) pi^* F-dual, computed by
-                        the first branch and reflected at degree 2n.
-
+    """h^i(X, O_X(j) (x) pi^* F) for F on the base of Levi weight w, by the
+    three branches of the module docstring (F-dual in the Serre branch).
     The cost does not grow with |j| or with the twist of F:
 
     >>> X = ModelVariety(3)
@@ -227,11 +208,10 @@ def cohomology_with_pullback_twist(variety, j, w):
     if j < 0:
         return cohomology_with_pullback_twist(variety, -n - 1 - j, dual(w)).reflect(2 * n)
     direct, dims = [], {}
-    # from 2n + 2 values on, the closed form's 2n sample tables cost less
-    # than evaluating every a; a shorter j has no such run
+    # from 2 values on, a run costs less summed than evaluated at every a
     pieces = _pieces(w, j) if j > 2 * n else ((0, j, False),)
     for first, last, run in pieces:
-        if run and last - first > 2 * n:
+        if run and last > first:
             _add_run(w, first, last, dims)
         else:
             direct += [s for a in range(first, last + 1)
@@ -242,11 +222,9 @@ def cohomology_with_pullback_twist(variety, j, w):
 
 
 def _critical_ranges(w):
-    """The two half-open ranges of a to evaluate directly, by lower end.
-
-    One where t - a passes the lower rows of beta, one where it passes the
-    first row; each also splits the runs around it, even when it is empty.
-    """
+    """The two half-open ranges of a to evaluate directly, by lower end: where
+    t - a passes the lower rows of beta and where it passes the first row.
+    Each also splits the runs around it, even when it is empty."""
     n, top, bottom, t = w.n, w.lam[0], w.lam[-1], w.t
     return sorted((
         (t - top - n + 2, t - bottom - 1),                   # the lower rows
@@ -267,21 +245,37 @@ def _pieces(w, j):
 
 
 def _add_run(w, first, last, dims):
-    """Add the sum over a = first..last, a run between the critical ranges.
+    """Add the sum over a = first..last, a run between the critical ranges:
+    (-1)^d times the telescoped Euler characteristic, in the one degree d
+    that the Pieri probes nearest each end carry."""
+    n = w.n
+    total = comb(n + last, n) * _euler(twist(w, last))
+    if first:
+        total -= comb(n + first - 1, n) * _euler(twist(w, first - 1))
+    deg, end = _probe(w, range(first, last + 1)), _probe(w, range(last, first - 1, -1))
+    dim = (-1) ** (deg or 0) * total
+    if end != deg or dim < 0 or (dim == 0) != (deg is None):
+        raise ArithmeticError(f"run a = {first}..{last} of {w} is not in one degree: "
+                              f"h^{deg} at the start, h^{end} at the end, chi = {total}")
+    if dim:
+        dims[deg] = dims.get(deg, 0) + dim
 
-    There the one degree's dimension is a polynomial g of degree < 2n in a, so
-    sum g(a) = sum over i < 2n of Delta^i g(first) * C(last - first + 1, i + 1).
-    """
-    points = 2 * w.n
-    samples = [cohomology_sum(tensor_with_sym(w, a)).dims()
-               for a in range(first, first + points)]
-    for deg in set().union(*samples):
-        diffs = [sample.get(deg, 0) for sample in samples]
-        total = 0
-        for i in range(points):
-            total += diffs[0] * comb(last - first + 1, i + 1)
-            diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-        dims[deg] = dims.get(deg, 0) + total
+
+def _probe(w, values):
+    """The degree of the first a in values whose Pieri summands carry
+    cohomology, or None; raises if they carry it in two degrees."""
+    for a in values:
+        degrees = {sort[0] for sort in map(bott_sort, tensor_with_sym(w, a).summands) if sort}
+        if len(degrees) > 1:
+            raise ArithmeticError(f"Pieri step a = {a} of {w} spans degrees {sorted(degrees)}")
+        if degrees:
+            return degrees.pop()
+
+
+def _euler(w):
+    """chi(P^n, w) from Bott's sort, without filling bott_cohomology's cache."""
+    sort = bott_sort(w)
+    return 0 if sort is None else (-1) ** sort[0] * weyl_dim(sort[1])
 
 
 def hom_dims(a, b):

@@ -14,6 +14,7 @@ from flopcalc.bwb import (
     HomogeneousBundle,
     LeviWeight,
     bott_cohomology,
+    bott_sort,
     cohomology_sum,
     dual,
     exterior_power_theta,
@@ -205,11 +206,13 @@ class TestBottRegression:
         for w in self.bott_box(n):
             beta = [a + n - i for i, a in enumerate(w.lam + (w.t,))]
             if len(set(beta)) < len(beta):
+                assert bott_sort(w) is None
                 assert bott_cohomology(w).is_zero()
                 continue
             inversions = sum(x < y for x, y in combinations(beta, 2))
-            mu = [b - (n - i) for i, b in enumerate(sorted(beta, reverse=True))]
-            assert bott_cohomology(w).dims() == {inversions: weyl_dim(tuple(mu))}
+            mu = tuple(b - (n - i) for i, b in enumerate(sorted(beta, reverse=True)))
+            assert bott_sort(w) == (inversions, mu)
+            assert bott_cohomology(w).dims() == {inversions: weyl_dim(mu)}
 
 
 class TestSerreDuality:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flopcalc import flop, pbundle
+from flopcalc import bwb, flop, pbundle
 from flopcalc.bwb import (
     EMPTY_TABLE,
     CohomologyTable,
@@ -21,6 +21,7 @@ from flopcalc.bwb import (
     structure_sheaf,
     tangent_bundle,
     tensor_with_sym,
+    weyl_dim,
 )
 from flopcalc.pbundle import (
     ModelVariety,
@@ -231,6 +232,20 @@ class TestPsiPreservesEuler:
                 assert hom_dims(pa, pb).euler() == chi[dj + dk, -dk], (n, dj, dk)
 
 
+class TestEulerSequenceTelescopes:
+    # Sym^a of the Euler sequence on the base telescopes the sum over a:
+    # chi(X, O(j) (x) pi^*O(k)) = C(n + j, n) chi(P^n, O(j + k)) for j >= 0,
+    # the identity the closed form sums runs by.  Checked against the prefix
+    # sums of chi_box, sharing no code with the engine.
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_identity_on_the_box(self, n):
+        js, ks = range(4 * n + 1), range(-4 * n, 4 * n + 1)
+        chi = chi_box(n, js, ks)
+        for j in js:
+            for k in ks:
+                assert chi[j, k] == binom_poly(n + j, n) * binom_poly(j + k + n, n), (n, j, k)
+
+
 class TestEulerChar:
     def test_examples(self, v2):
         assert cohomology_X(XLineBundle(v2, 0, 0)).euler() == 1
@@ -343,6 +358,11 @@ class TestClosedFormMatchesLoop:
     # first-row ranges with runs longer than 2n on both sides, both branches
     @example((3, [2, 0, 0], 40), 60)
     @example((2, [5, -5], 33), -88)
+    # runs of two values, the shortest that is summed in closed form, next to
+    # runs of one, which are evaluated at every a, and of three: a = 0, 1..2
+    # and 3..5, and a = 0..1, 2..4 and 6..7
+    @example((2, [-2, -3], 1), 5)
+    @example((3, [-2, -3, -3], 4), 7)
     @settings(max_examples=60, deadline=None)
     def test_dominant_weights(self, weight, j):
         n, entries, t = weight
@@ -353,27 +373,59 @@ class TestClosedFormMatchesLoop:
 
 class TestHugeTwists:
     # A line bundle has one Pieri summand per a.  For lam = 0 the lower-row
-    # range holds n - 3 values of a and the first-row range none, and each
-    # of the at most three runs is evaluated at no more than 2n + 1 values:
-    # one call adds at most 7n Bott weights.
+    # range holds n - 3 values of a, evaluated directly, and the first-row
+    # range none, but it still cuts 0..j; each of the three runs is summed
+    # from two Bott evaluations (one for the run from a = 0), whatever its
+    # length, and leaves nothing in Bott's cache.
     @pytest.mark.parametrize("j", [10**9, 10**100])
     @pytest.mark.parametrize("k", [0, 7, -10**9])
     def test_step_is_one_pieri_term(self, j, k):
         n = 3
         v = ModelVariety(n)
         lb = line_bundle(n, k)
-        tables = []
-        for m in (j, j - 1):
-            before = bott_cohomology.cache_info().currsize
-            tables.append(cohomology_with_pullback_twist(v, m, lb))
-            assert bott_cohomology.cache_info().currsize - before <= 7 * n
+        top, below = (cohomology_with_pullback_twist(v, m, lb) for m in (j, j - 1))
         step = cohomology_sum(tensor_with_sym(lb, j))
-        top, below = tables
         for deg in range(2 * n + 1):
             assert top.get(deg) - below.get(deg) == step.get(deg), deg
         assert not top.is_zero()
         serre = cohomology_with_pullback_twist(v, -n - 1 - j, line_bundle(n, -k))
         assert serre == top.reflect(2 * n)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_weyl_evaluations(self, n, monkeypatch):
+        calls = []
+
+        def counting(mu):
+            calls.append(mu)
+            return weyl_dim(mu)
+
+        # weyl_dim is looked up in bwb for Bott's cache and in pbundle for runs
+        monkeypatch.setattr(bwb, "weyl_dim", counting)
+        monkeypatch.setattr(pbundle, "weyl_dim", counting, raising=False)
+        bott_cohomology.cache_clear()
+        pbundle._cohomology_coords.cache_clear()
+        j, k = 10**100, -10**50
+        table = cohomology_X(XLineBundle(ModelVariety(n), j, k))
+        assert len(calls) <= (n - 3) + 2 * 3, len(calls)
+        assert bott_cohomology.cache_info().currsize <= n - 3
+        assert sorted(table.dims()) == [0, n - 1, n]
+        assert table.euler() == binom_poly(n + j, n) * binom_poly(j + k + n, n)
+
+
+class TestRunDegreeCheck:
+    def test_run_across_a_degree_change_raises(self, monkeypatch):
+        # critical ranges past j leave one run over a = 0..j; O(-20) at a = 0
+        # sits in degree n and the summand at a = j in degree 0
+        monkeypatch.setattr(pbundle, "_critical_ranges", lambda w: [(10**6, 10**6)] * 2)
+        with pytest.raises(ArithmeticError):
+            cohomology_with_pullback_twist(ModelVariety(3), 100, line_bundle(3, -20))
+
+    def test_run_without_a_positive_dimension_raises(self, monkeypatch):
+        # the probes find cohomology on every run, so a telescoped sum of 0
+        # can only be an engine fault
+        monkeypatch.setattr(pbundle, "weyl_dim", lambda mu: 0)
+        with pytest.raises(ArithmeticError):
+            cohomology_with_pullback_twist(ModelVariety(3), 100, line_bundle(3, -20))
 
 
 class TestPrefixPath:
