@@ -191,9 +191,9 @@ class TestExt:
         solved = []
         chase_solve = homalg.chase_solve
 
-        def counting(system, reverse=False):
+        def counting(system):
             solved.append(system.name)
-            return chase_solve(system, reverse)
+            return chase_solve(system)
 
         monkeypatch.setattr(homalg, "chase_solve", counting)
         code, _, _ = run(capsys, "ext", "ideal-self", "--n", "2", "--trace")

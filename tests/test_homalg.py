@@ -37,6 +37,11 @@ def system(*dims, name="test"):
     return ChaseSystem(name, terms)
 
 
+def mirrored(sysm):
+    """The same exact complex read right to left."""
+    return ChaseSystem(sysm.name, tuple(reversed(sysm.terms)))
+
+
 class TestChaseSolve:
     def test_two_term_exactness(self):
         sol = chase_solve(system(0, None, 5, 0))
@@ -189,20 +194,20 @@ class TestChaseSolve:
     def test_rule_order_independence_on_reference_systems(self):
         for sysm in reference_chase_systems(2):
             fwd = chase_solve(sysm)
-            bwd = chase_solve(sysm, reverse=True)
+            bwd = chase_solve(mirrored(sysm))
             assert fwd.values == bwd.values
             assert set(fwd.unsolved) == set(bwd.unsolved)
 
 
 class TestChaseRegression:
     # sha256 over (values, unsolved, trace), or the ChaseInconsistencyError
-    # text, of each system in both orders, recorded with three scans a round
-    DIGEST = "1ef2c1fe68a63ff32a2a77171e8cf1cfc83e56dfb076f4cb8bc899c4be021400"
+    # text, of each system and of its mirror, recorded with three scans a round
+    DIGEST = "d22d858dab70098aad66532154f6d97107ca597f7057b85949f6cc67e6891821"
 
     @staticmethod
-    def outcome(sysm, reverse):
+    def outcome(sysm):
         try:
-            sol = chase_solve(sysm, reverse)
+            sol = chase_solve(sysm)
         except ChaseInconsistencyError as exc:
             return str(exc)
         return (sorted(sol.values.items()), sol.unsolved, sol.trace)
@@ -220,8 +225,8 @@ class TestChaseRegression:
         for n in range(2, 13):
             systems += reference_chase_systems(n)
         for sysm in systems:
-            for reverse in (False, True):
-                h.update(repr(self.outcome(sysm, reverse)).encode())
+            for solved in (sysm, mirrored(sysm)):
+                h.update(repr(self.outcome(solved)).encode())
         assert h.hexdigest() == self.DIGEST
 
 
@@ -376,7 +381,7 @@ class TestIdealSelfExt:
         with pytest.raises(ChaseInconsistencyError):
             chase_solve(bad)
         with pytest.raises(ChaseInconsistencyError):
-            chase_solve(bad, reverse=True)
+            chase_solve(mirrored(bad))
 
     @pytest.mark.parametrize("name, n, solves", [
         ("ext2_ideal_self_with_trace", 2, 3),
@@ -387,9 +392,9 @@ class TestIdealSelfExt:
     def test_each_system_is_solved_once(self, monkeypatch, name, n, solves):
         solved = []
 
-        def counting(system, reverse=False):
+        def counting(system):
             solved.append(system.name)
-            return chase_solve(system, reverse)
+            return chase_solve(system)
 
         monkeypatch.setattr(homalg, "chase_solve", counting)
         getattr(homalg, name)(n)
