@@ -52,8 +52,7 @@ class PicMap(namedtuple("PicMap", "rows")):
 
 def phi_pullback(n):
     """Pullback of classes from the flopped side: xi+ -> xi, h+ -> xi - h."""
-    if n < 2:
-        raise ValueError(f"the model needs n >= 2, got n={n}")
+    ModelVariety(n)  # the model needs n >= 2
     return PicMap(((1, 1), (0, -1)))
 
 

@@ -124,7 +124,7 @@ def _segments(dims):
     return [(left + 1, right) for left, right in zip(zero_at, zero_at[1:]) if right - left > 1]
 
 
-def chase_solve(system, reverse=False):
+def chase_solve(system):
     """Propagate exactness constraints to a fixpoint.
 
     Each round reads the segments between known zeros once: it checks the
@@ -132,9 +132,8 @@ def chase_solve(system, reverse=False):
     term, then rule (b) to every longer segment with one unknown.  Rule (a)
     is rule (b) on a segment of one term, and zeroing that term leaves every
     other segment as it was, so one segment list serves the whole round.
-
-    ``reverse=True`` processes rules and segments right to left; the
-    fixpoint must not depend on the order, which tests assert.
+    Solving the mirrored system, its terms read right to left, reaches the
+    same fixpoint, which tests assert.
     """
     labels, dims = map(list, zip(*system.terms)) if system.terms else ([], [])
     trace = []
@@ -154,8 +153,6 @@ def chase_solve(system, reverse=False):
                         f"{system.name}: zero-flanked segment {labels[lo:hi]} has alternating "
                         f"sum {total}, exactness fails"
                     )
-        if reverse:
-            open_segs.reverse()
 
         for lo, hi, seg in open_segs:
             if hi - lo == 1:
@@ -256,10 +253,9 @@ class KoszulResolution(namedtuple("KoszulResolution", "n terms")):
         Each term sits in the fibre-acyclic band -n <= j <= -1, so every
         summand vanishes and the total matches chi(I) = chi(O_X) - chi(O_Y).
         """
-        variety = ModelVariety(self.n, Side.X_PLUS)
         total = 0
         for t in self.terms:
-            table = cohomology_with_pullback_twist(variety, -t.p, t.theta_wedge)
+            table = cohomology_with_pullback_twist(-t.p, t.theta_wedge)
             total += (-1) ** (t.p + 1) * table.euler()
         return total
 
@@ -296,8 +292,7 @@ def ext_table_OY(n):
     off-diagonal entry were nonzero the table would be meaningless and
     ``DegeneracyUnjustifiedError`` is raised instead.
     """
-    if n < 2:
-        raise ValueError(f"the model needs n >= 2, got n={n}")
+    ModelVariety(n)  # the model needs n >= 2
     page = local_ext_page(n)
     stray = [(pq, d) for pq, d in sorted(page.items()) if pq[0] != pq[1]]
     if stray:
@@ -332,7 +327,7 @@ def restriction_chase_system(p, n):
     if not 1 <= p <= n:
         raise ValueError(f"p={p} out of range 1..{n}")
     forms = form_bundle(p, n)
-    dual_table = cohomology_with_pullback_twist(ModelVariety(n, Side.X_PLUS), p, forms)
+    dual_table = cohomology_with_pullback_twist(p, forms)
     centre_table = bott_cohomology(forms)
     return long_exact_system(f"ext-koszul-term-p{p}-n{n}", n, (
         (f"Ext^{{i}}(E{p},I)", None),

@@ -2,8 +2,9 @@
 
 Pic(X) is free of rank 2 on the tautological class xi of the bundle
 projection pi and the pullback h of the hyperplane class of the base.  A
-class (j, k) stands for O_X(j) tensor pi^* O(k).  Cohomology is computed by
-pushing forward to the base:
+class (j, k) stands for O_X(j) tensor pi^* O(k).  O_X(j) tensor pi^* F, for F
+of Levi weight w, lives on the model over w's base, P^{w.n}.  Cohomology is
+computed by pushing forward to the base:
 
   * j >= 0        : pi_* O_X(j) = Sym^j(O + Theta), the sum of Sym^a Theta
                     for a = 0..j;
@@ -23,24 +24,16 @@ below t - a, or nowhere when t - a equals one of them.
     Sym^a Theta (x) w -> 0 with w(a) = twist(w, a), so the Euler
     characteristics telescope: over a = first..last they sum to
     C(n + last, n) chi(w(last)) - C(n + first - 1, n) chi(w(first - 1)).
-  * The degree changes only where t - a passes one of the first n entries.
-    The first n strictly decrease, so the values of a evaluated directly
-    are those with lam_{n-1} + 2 <= t - a <= lam_0 + n - 2, strictly inside
-    the values the lower rows take, and those with
-    t - lam_0 - n < 2a < t - lam_{n-1} - n, where t - a lies above the first
-    row a + c + n for one c and below it for another.  A summand whose
-    t - a meets an entry carries nothing, so the a at either end of these
-    ranges may join the neighbouring run.
+  * The degree changes only in the two critical ranges of a, where t - a
+    passes the lower rows of beta or its first row (see _critical_ranges).
 
-The two ranges cut 0..j into at most three runs, and each also cuts when no
-a fits in it.  On a run the summands that carry cohomology all sit in one
-degree d, which holds (-1)^d times the telescoped sum: two Bott evaluations
-however long the run.  d is read from Pieri probes at the a nearest each end
-whose summands carry cohomology.  Ends that disagree, or a dimension that is
-not positive, raise ArithmeticError; for a line bundle, whose one summand's
-degree only falls as a grows, ends that agree fix d across the run.  Runs of
-one value, the critical ranges and every class with j <= 2n are evaluated at
-every a, in one cohomology_sum call.  A class thus costs
+The two ranges cut 0..j into at most three runs.  On a run the summands that
+carry cohomology all sit in one degree d, which holds (-1)^d times the
+telescoped sum: two Bott evaluations however long the run.  d is read from
+Pieri probes at the a nearest each end whose summands carry cohomology; ends
+that disagree, or a dimension that is not positive, raise ArithmeticError.
+Runs of one value, the critical ranges and every class with j <= 2n are
+evaluated at every a, in one cohomology_sum call.  A class thus costs
 O(n + lam_0 - lam_{n-1}) Pieri decompositions, however large j and t (and so
 k) are.
 
@@ -149,10 +142,6 @@ class XLineBundle:
                 f"classes live on different varieties: {self.variety} vs {other.variety}"
             )
 
-    def __add__(self, other):
-        self._require_same(other)
-        return XLineBundle(self.variety, self.j + other.j, self.k + other.k)
-
     def __sub__(self, other):
         self._require_same(other)
         return XLineBundle(self.variety, self.j - other.j, self.k - other.k)
@@ -171,7 +160,7 @@ def _cohomology_coords(n, j, k):
     if -3 * n - 1 <= j <= -n - 1:
         return _cohomology_coords(n, -n - 1 - j, -k).reflect(2 * n)
     if not 0 <= j <= 2 * n:
-        return cohomology_with_pullback_twist(ModelVariety(n), j, line_bundle(n, k))
+        return cohomology_with_pullback_twist(j, line_bundle(n, k))
     # the prefix: the table at j - 1 plus the a = j Pieri step, walked up from
     # a = 0 so that the recursion depth does not grow with n or j
     below = EMPTY_TABLE
@@ -192,21 +181,20 @@ def cohomology_X(lb):
     return _cohomology_coords(lb.variety.n, lb.j, lb.k)
 
 
-def cohomology_with_pullback_twist(variety, j, w):
-    """h^i(X, O_X(j) (x) pi^* F) for F on the base of Levi weight w, by the
-    three branches of the module docstring (F-dual in the Serre branch).
-    The cost does not grow with |j| or with the twist of F:
+def cohomology_with_pullback_twist(j, w):
+    """h^i(X, O_X(j) (x) pi^* F), X the model over the base of w, for F of
+    Levi weight w, by the three branches of the module docstring (F-dual in
+    the Serre branch).  The cost does not grow with |j| or with the twist of F:
 
-    >>> X = ModelVariety(3)
-    >>> table = cohomology_with_pullback_twist(X, 10**9, line_bundle(3, -10**9))
+    >>> table = cohomology_with_pullback_twist(10**9, line_bundle(3, -10**9))
     >>> sorted(table.dims()), table.get(0)
     ([0, 2, 3], 166666667666666668500000001)
     """
-    n = variety.n
+    n = ModelVariety(w.n).n  # the model needs n >= 2
     if -n <= j <= -1:
         return EMPTY_TABLE
     if j < 0:
-        return cohomology_with_pullback_twist(variety, -n - 1 - j, dual(w)).reflect(2 * n)
+        return cohomology_with_pullback_twist(-n - 1 - j, dual(w)).reflect(2 * n)
     direct, dims = [], {}
     # from 2 values on, a run costs less summed than evaluated at every a
     pieces = _pieces(w, j) if j > 2 * n else ((0, j, False),)
@@ -222,9 +210,19 @@ def cohomology_with_pullback_twist(variety, j, w):
 
 
 def _critical_ranges(w):
-    """The two half-open ranges of a to evaluate directly, by lower end: where
-    t - a passes the lower rows of beta and where it passes the first row.
-    Each also splits the runs around it, even when it is empty."""
+    """The two half-open ranges of a to evaluate directly, by lower end.
+
+    Why a run between them sits in one degree: let s = t - a for a summand
+    (mu, s) at step a.  Rows i >= 1 satisfy lam_i <= mu_i <= lam_{i-1}, so
+    lam_{n-1} + 1 <= beta_{n-1} < ... < beta_1 <= lam_0 + n - 1.  The first
+    row takes c boxes, a - (lam_0 - lam_{n-1}) <= c <= a, so
+    a + lam_{n-1} + n <= beta_0 <= a + lam_0 + n.  The lower-row range holds
+    the a with lam_{n-1} + 2 <= s <= lam_0 + n - 2, the first-row range those
+    with t - lam_0 - n < 2a < t - lam_{n-1} - n.  Each cuts 0..j where s
+    crosses these bounds, even when it is empty, so on a run every row stays
+    on one side of s or meets it: a summand that meets no row carries its
+    cohomology in the degree that counts the rows below s, the same for every
+    a in the run.  _add_run's end probes check this at run time."""
     n, top, bottom, t = w.n, w.lam[0], w.lam[-1], w.t
     return sorted((
         (t - top - n + 2, t - bottom - 1),                   # the lower rows

@@ -1,18 +1,20 @@
 import hashlib
 import random
+from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flopcalc import bwb, flop, pbundle
+from flopcalc import bwb, flop, homalg, pbundle
 from flopcalc.bwb import (
     EMPTY_TABLE,
     CohomologyTable,
     HomogeneousBundle,
     LeviWeight,
     bott_cohomology,
+    bott_sort,
     cohomology_sum,
     dual,
     exterior_power_theta,
@@ -254,9 +256,9 @@ class TestEulerChar:
 
 
 class TestPullbackTwists:
-    def test_acyclic_band_kills_any_twist(self, v2):
+    def test_acyclic_band_kills_any_twist(self):
         for p in (1, 2):
-            table = cohomology_with_pullback_twist(v2, -p, form_bundle(p, 2))
+            table = cohomology_with_pullback_twist(-p, form_bundle(p, 2))
             assert table.is_zero()
 
     def test_line_bundle_twist_euler_closed_form(self):
@@ -273,17 +275,30 @@ class TestPullbackTwists:
                     checked += 1
         assert checked == 3800
 
-    def test_duality_branch_with_bundle(self, v2):
+    def test_duality_branch_with_bundle(self):
         # O(-4) (x) pi^* Omega^1 against its Serre partner O(1) (x) pi^* Theta
         from flopcalc.bwb import tangent_bundle
 
-        left = cohomology_with_pullback_twist(v2, -4, form_bundle(1, 2))
-        right = cohomology_with_pullback_twist(v2, 1, tangent_bundle(2))
+        left = cohomology_with_pullback_twist(-4, form_bundle(1, 2))
+        right = cohomology_with_pullback_twist(1, tangent_bundle(2))
         assert left == right.reflect(4)
 
-    def test_structure_twist_consistency(self, v2):
-        table = cohomology_with_pullback_twist(v2, 0, structure_sheaf(2))
+    def test_structure_twist_consistency(self):
+        table = cohomology_with_pullback_twist(0, structure_sheaf(2))
         assert table.dims() == {0: 1}
+
+    def test_model_is_over_the_base_of_the_weight(self):
+        # a variety passed beside the weight once set n: X over P^3 gave
+        # {6: 441} for the first class and X over P^5 gave {} for the second
+        assert cohomology_with_pullback_twist(-9, line_bundle(2, 0)).dims() == {4: 784}
+        assert cohomology_with_pullback_twist(-4, line_bundle(2, 0)).dims() == {4: 9}
+
+    def test_base_of_dimension_one_raises(self):
+        message = "the model needs n >= 2, got n=1"
+        with pytest.raises(ValueError, match=message):
+            cohomology_with_pullback_twist(3, line_bundle(1, 0))
+        with pytest.raises(ValueError, match=message):
+            homalg.restriction_chase_system(1, 1)
 
 
 # The per-a loop that the closed form replaced, kept as the reference.
@@ -322,7 +337,6 @@ class TestClosedFormMatchesLoop:
         # puts runs longer than 2n + 1 on both sides of the first-row range.
         # The flipped bundle of O(k) is O(-k), so one loop per k serves the
         # first branch of k and the Serre branch of -k.
-        v = ModelVariety(n)
         ahead = {k: loop_tables(HomogeneousBundle((line_bundle(n, k),)), 30)
                  for k in range(-30, 31)}
         for k in range(-30, 31):
@@ -334,18 +348,17 @@ class TestClosedFormMatchesLoop:
                     expect = EMPTY_TABLE
                 else:
                     expect = ahead[-k][-n - 1 - j].reflect(2 * n)
-                assert cohomology_with_pullback_twist(v, j, pullback) == expect, (n, j, k)
+                assert cohomology_with_pullback_twist(j, pullback) == expect, (n, j, k)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_named_bundles(self, n):
-        v = ModelVariety(n)
         bundles = [form_bundle(p, n) for p in range(n + 1)]
         bundles += [exterior_power_theta(p, n) for p in range(n + 1)]
         bundles.append(tangent_bundle(n))
         for w in bundles:
             pullback = HomogeneousBundle((w,))
             for j, expect in loop_sweep(n, pullback, 40).items():
-                assert cohomology_with_pullback_twist(v, j, w) == expect, (w, j)
+                assert cohomology_with_pullback_twist(j, w) == expect, (w, j)
 
     @given(
         st.integers(2, 5).flatmap(lambda n: st.tuples(
@@ -368,7 +381,7 @@ class TestClosedFormMatchesLoop:
         n, entries, t = weight
         w = LeviWeight(n, tuple(sorted(entries, reverse=True)), t)
         expect = loop_sweep(n, HomogeneousBundle((w,)), abs(j))[j]
-        assert cohomology_with_pullback_twist(ModelVariety(n), j, w) == expect
+        assert cohomology_with_pullback_twist(j, w) == expect
 
 
 class TestHugeTwists:
@@ -381,14 +394,13 @@ class TestHugeTwists:
     @pytest.mark.parametrize("k", [0, 7, -10**9])
     def test_step_is_one_pieri_term(self, j, k):
         n = 3
-        v = ModelVariety(n)
         lb = line_bundle(n, k)
-        top, below = (cohomology_with_pullback_twist(v, m, lb) for m in (j, j - 1))
+        top, below = (cohomology_with_pullback_twist(m, lb) for m in (j, j - 1))
         step = cohomology_sum(tensor_with_sym(lb, j))
         for deg in range(2 * n + 1):
             assert top.get(deg) - below.get(deg) == step.get(deg), deg
         assert not top.is_zero()
-        serre = cohomology_with_pullback_twist(v, -n - 1 - j, line_bundle(n, -k))
+        serre = cohomology_with_pullback_twist(-n - 1 - j, line_bundle(n, -k))
         assert serre == top.reflect(2 * n)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
@@ -412,20 +424,43 @@ class TestHugeTwists:
         assert table.euler() == binom_poly(n + j, n) * binom_poly(j + k + n, n)
 
 
+class TestRunsSitInOneDegree:
+    def test_every_step_of_a_run(self):
+        # _critical_ranges' argument, checked summand by summand on weights
+        # whose lam has two or more runs of equal entries, where degrees are
+        # not monotone in a across Pieri steps
+        runs = 0
+        for n in range(2, 5):
+            for lam in combinations_with_replacement(range(2, -3, -1), n):
+                if lam[0] == lam[-1]:
+                    continue
+                for t in range(-8, 15):
+                    w = LeviWeight(n, lam, t)
+                    for first, last, run in pbundle._pieces(w, 16):
+                        if not run or last <= first:
+                            continue
+                        degrees = {sort[0] for a in range(first, last + 1)
+                                   for sort in map(bott_sort, tensor_with_sym(w, a).summands)
+                                   if sort}
+                        assert len(degrees) <= 1, (w, first, last, degrees)
+                        runs += 1
+        assert runs == 4099
+
+
 class TestRunDegreeCheck:
     def test_run_across_a_degree_change_raises(self, monkeypatch):
         # critical ranges past j leave one run over a = 0..j; O(-20) at a = 0
         # sits in degree n and the summand at a = j in degree 0
         monkeypatch.setattr(pbundle, "_critical_ranges", lambda w: [(10**6, 10**6)] * 2)
         with pytest.raises(ArithmeticError):
-            cohomology_with_pullback_twist(ModelVariety(3), 100, line_bundle(3, -20))
+            cohomology_with_pullback_twist(100, line_bundle(3, -20))
 
     def test_run_without_a_positive_dimension_raises(self, monkeypatch):
         # the probes find cohomology on every run, so a telescoped sum of 0
         # can only be an engine fault
         monkeypatch.setattr(pbundle, "weyl_dim", lambda mu: 0)
         with pytest.raises(ArithmeticError):
-            cohomology_with_pullback_twist(ModelVariety(3), 100, line_bundle(3, -20))
+            cohomology_with_pullback_twist(100, line_bundle(3, -20))
 
 
 class TestPrefixPath:
