@@ -288,8 +288,8 @@ class TestPullbackTwists:
         assert table.dims() == {0: 1}
 
     def test_model_is_over_the_base_of_the_weight(self):
-        # a variety passed beside the weight once set n: X over P^3 gave
-        # {6: 441} for the first class and X over P^5 gave {} for the second
+        # n picks the branch and the reflection: read on the model over P^3
+        # and P^5, these classes would give {6: 441} and {}
         assert cohomology_with_pullback_twist(-9, line_bundle(2, 0)).dims() == {4: 784}
         assert cohomology_with_pullback_twist(-4, line_bundle(2, 0)).dims() == {4: 9}
 
