@@ -110,7 +110,7 @@ def test_criterion_5_ext2_pair_across_phi():
         source = hom_dims(cls, cls).get(2)
         image = ext2_ideal_self(2)
         assert (source, image) == (0, 1)
-        assert verify_cor_2_2().status is Status.PASS
+        assert verify_cor_2_2(2).status is Status.PASS
 
 
 def test_criterion_6_first_route_ext_entries():

@@ -149,7 +149,7 @@ class TestIndividualSuites:
         assert result.evidence["table"] == {i: 1 for i in range(0, 2 * n + 1, 2)}
 
     def test_cor_2_2(self):
-        result = verify_cor_2_2()
+        result = verify_cor_2_2(2)
         assert result.status is Status.PASS
         assert (result.evidence["ext2_source"], result.evidence["ext2_image"]) == (0, 1)
         assert result.evidence["h2_structure_sheaf"] == 0
@@ -160,7 +160,7 @@ class TestIndividualSuites:
             raise homalg.ChaseUnderdeterminedError("the chase does not determine 'Ext^2(I,I)'")
 
         monkeypatch.setattr(homalg, "ext2_ideal_self", unsettled)
-        result = verify_cor_2_2()
+        result = verify_cor_2_2(2)
         assert result.status is Status.UNDERDETERMINED
         assert result.evidence == {"chase": "the chase does not determine 'Ext^2(I,I)'"}
 
@@ -368,6 +368,20 @@ class TestRunner:
         assert run_check("lemma-3-4", 2).status is Status.PASS
         with pytest.raises(ValueError):
             run_check("lemma-9-9", 2)
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    @pytest.mark.parametrize("check_id", sorted(verify.PINNED_CHECKS))
+    def test_pinned_check_refuses_other_n_before_any_table(self, check_id, n):
+        pbundle._cohomology_coords.cache_clear()
+        with pytest.raises(ValueError, match="specific to n = 2"):
+            run_check(check_id, n)
+        assert pbundle._cohomology_coords.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("check_id", sorted(verify.PINNED_CHECKS))
+    def test_pinned_check_runs_its_suite_at_n2(self, check_id):
+        result = run_check(check_id, 2)
+        assert result == verify.PINNED_CHECKS[check_id](2)
+        assert (result.check_id, result.n, result.status) == (check_id, 2, Status.PASS)
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     @pytest.mark.parametrize("check_id", sorted(verify.SWEPT_CHECKS))
