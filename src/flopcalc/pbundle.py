@@ -12,44 +12,42 @@ computed by pushing forward to the base:
   * j <= -n-1     : global Serre duality against the canonical class
                     (-n-1, 0) reflects back into the first case.
 
-The sum over a is taken in closed form, in runs.  For the twisting weight
+The sum over a is taken in closed form.  For the twisting weight
 w = (lam, t), the Pieri summands of Sym^a Theta (x) w are (mu, t - a) with
 mu a horizontal strip of size a over lam.  Bott's rule reads
 beta = (mu_0 + n, mu_1 + n - 1, ..., mu_{n-1} + 1, t - a): the summand's
 cohomology sits in the degree that counts the entries of beta_0..beta_{n-1}
-below t - a, or nowhere when t - a equals one of them.
+below t - a, or nowhere when t - a equals one of them.  On the base, Sym^a
+of the Euler sequence 0 -> O -> V(1) -> Theta -> 0, V = C^{n+1}, is
+0 -> S^{a-1}V (x) w(a-1) -> S^a V (x) w(a) -> Sym^a Theta (x) w -> 0, with
+w(a) = twist(w, a), so the Euler characteristics over a = first..last sum to
+C(n + last, n) chi(w(last)) - C(n + first - 1, n) chi(w(first - 1)).
 
-  * On the base, Sym^a of the Euler sequence 0 -> O -> V(1) -> Theta -> 0,
-    V = C^{n+1}, is 0 -> S^{a-1}V (x) w(a-1) -> S^a V (x) w(a) ->
-    Sym^a Theta (x) w -> 0 with w(a) = twist(w, a), so the Euler
-    characteristics telescope: over a = first..last they sum to
-    C(n + last, n) chi(w(last)) - C(n + first - 1, n) chi(w(first - 1)).
-  * The degree changes only in the two critical ranges of a, where t - a
-    passes the lower rows of beta or its first row (see _critical_ranges).
+cohomology_X, the line-bundle case w = O(k), caches its tables by (n, j, k).
+There mu = (a, 0, ..., 0), so step a sits in h^0 for a >= -k, in h^{n-1} for
+(-k - n) // 2 + 1 <= a <= -k - n, in h^n for a <= -((k + n) // 2) - 1 and
+nowhere else.  Each range lo..hi, clipped to [0, j], adds
+(-1)^d (S(hi) - S(lo - 1)) in its degree d, with
+S(m) = C(n + m, n) C(n + m + k, n) and C(n + m, n) read as a polynomial in m.
 
-The two ranges cut 0..j into at most three runs.  On a run the summands that
-carry cohomology all sit in one degree d, which holds (-1)^d times the
-telescoped sum: two Bott evaluations however long the run.  d is read from
-Pieri probes at the a nearest each end whose summands carry cohomology; ends
-that disagree, or a dimension that is not positive, raise ArithmeticError.
-Runs of one value, the critical ranges and every class with j <= 2n are
-evaluated at every a, in one cohomology_sum call.  A class thus costs
-O(n + lam_0 - lam_{n-1}) Pieri decompositions, however large j and t (and so
-k) are.
-
-cohomology_X, the line-bundle case, caches its tables by (n, j, k).  For
-0 <= j <= 2n the table at (j, k) is the table at (j - 1, k) plus the Pieri
-step a = j, so a miss costs one step once (j - 1, k) is cached.  A class with
--3n - 1 <= j <= -n - 1 reflects into that range by Serre duality, as
-(-n - 1 - j, -k) read backwards from degree 2n.  Every other j takes the
-branches above.
+For other weights the degree changes only in the two critical ranges of a,
+where t - a passes the lower rows of beta or its first row (see
+_critical_ranges).  They cut 0..j into at most three runs.  On a run the
+summands that carry cohomology all sit in one degree d, which holds (-1)^d
+times the telescoped sum: two Bott evaluations however long the run.  d is
+read from Pieri probes at the a nearest each end whose summands carry
+cohomology; ends that disagree, or a dimension that is not positive, raise
+ArithmeticError.  Runs of one value, the critical ranges and every class
+with j <= 2n are evaluated at every a, in one cohomology_sum call.  A class
+thus costs O(n + lam_0 - lam_{n-1}) Pieri decompositions, however large j
+and t (and so k) are.
 
 The flopped side carries an isomorphic bundle structure, so tables do not
 depend on the ``side`` tag; it exists to keep functor domains honest.  The
 model is only defined for n >= 2 (n = 1 degenerates to an isomorphism).
 
-Pure functions over immutable values.  The only shared state is two unbounded
-``lru_cache``s, which only memoise: the tables by (n, j, k) and Bott's.
+Pure functions over immutable values.  The only shared state is two
+``lru_cache``s, which only memoise: Bott's and the last 2^16 tables by (n, j, k).
 """
 
 from __future__ import annotations
@@ -156,24 +154,26 @@ def canonical_class(variety):
     return XLineBundle(variety, -variety.n - 1, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _cohomology_coords(n, j, k):
-    if -3 * n - 1 <= j <= -n - 1:
-        return _cohomology_coords(n, -n - 1 - j, -k).reflect(2 * n)
-    if not 0 <= j <= 2 * n:
-        return cohomology_with_pullback_twist(j, line_bundle(n, k))
-    # the prefix: the table at j - 1 plus the a = j Pieri step, walked up from
-    # a = 0 so that the recursion depth does not grow with n or j
-    below = EMPTY_TABLE
-    for a in range(j):
-        below = _cohomology_coords(n, a, k)
-    dims = below.dims()
-    for deg, dim in cohomology_sum(tensor_with_sym(line_bundle(n, k), j)).entries:
-        dims[deg] = dims.get(deg, 0) + dim
+    if j < 0:
+        return EMPTY_TABLE if j >= -n else _cohomology_coords(n, -n - 1 - j, -k).reflect(2 * n)
+    dims = {}
+    for deg, lo, hi in ((0, -k, j), (n - 1, (-k - n) // 2 + 1, -k - n),
+                        (n, 0, -((k + n) // 2) - 1)):
+        lo, hi = max(lo, 0), min(hi, j)
+        if lo <= hi:
+            top, below = (_binom(n, a) * _binom(n, a + k) for a in (hi, lo - 1))
+            dims[deg] = (-1) ** deg * (top - below)
     return CohomologyTable.from_dict(dims)
 
 
-# the tables by (n, j, k); rebinding this name leaves the cache's recursion alone
+def _binom(n, m):
+    """C(n + m, n) as a polynomial in m: 0 for -n <= m <= -1."""
+    return comb(n + m, n) if m >= 0 else (-1) ** n * comb(-m - 1, n)
+
+
+# the tables by (n, j, k), under a name tests rebind without touching cohomology_X
 cohomology_coords = _cohomology_coords
 
 

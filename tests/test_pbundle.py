@@ -1,7 +1,7 @@
 import hashlib
 import random
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -415,9 +415,8 @@ class TestHugeTwists:
         monkeypatch.setattr(bwb, "weyl_dim", counting)
         monkeypatch.setattr(pbundle, "weyl_dim", counting, raising=False)
         bott_cohomology.cache_clear()
-        pbundle._cohomology_coords.cache_clear()
         j, k = 10**100, -10**50
-        table = cohomology_X(XLineBundle(ModelVariety(n), j, k))
+        table = cohomology_with_pullback_twist(j, line_bundle(n, k))
         assert len(calls) <= (n - 3) + 2 * 3, len(calls)
         assert bott_cohomology.cache_info().currsize <= n - 3
         assert sorted(table.dims()) == [0, n - 1, n]
@@ -464,8 +463,8 @@ class TestRunDegreeCheck:
 
 
 class TestPrefixPath:
-    # Line-bundle classes with -3n - 1 <= j <= 2n are built as prefix sums
-    # over j, the rest by the closed form above.
+    # Line-bundle classes on X take the three binomial ranges of the module
+    # docstring; the loop above is the reference on the box it covers.
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_loop_in_any_order(self, n):
         v = ModelVariety(n)
@@ -487,37 +486,57 @@ class TestPrefixPath:
             for j, k in order:
                 assert cohomology_X(XLineBundle(v, j, k)) == expect[j, k], (n, j, k, seed)
 
-    def test_miss_above_a_cached_prefix_costs_one_step(self, monkeypatch):
-        n, k = 5, 2
-        v = ModelVariety(n)
-        pbundle._cohomology_coords.cache_clear()
-        cohomology_X(XLineBundle(v, 6, k))
-        steps = []
+    def test_line_bundles_reach_no_engine_code(self, monkeypatch):
+        def engine(*args):
+            raise AssertionError("a line bundle reached the Pieri, Bott or Weyl code")
 
-        def counting(w, a):
-            steps.append(a)
-            return tensor_with_sym(w, a)
-
-        monkeypatch.setattr(pbundle, "tensor_with_sym", counting)
-        cohomology_X(XLineBundle(v, 7, k))
-        cohomology_X(XLineBundle(v, -n - 1 - 3, -k))   # Serre partner of (3, k)
-        assert steps == [7]
-
-    def test_deep_prefix_stays_within_the_recursion_limit(self, monkeypatch):
-        # n = 600 puts j = 2n = 1200 past the default recursion limit of 1000,
-        # so a walk that recursed once per j would fail here.  One real step
-        # at n = 600 costs about 15 s in weyl_dim, so each step is stubbed to
-        # h^0 = number of Pieri summands, which is 1 for a line bundle.
-        def one_per_summand(bundle):
-            return CohomologyTable.from_dict({0: len(bundle.summands)})
-
+        for name in ("tensor_with_sym", "cohomology_sum", "bott_sort", "weyl_dim"):
+            monkeypatch.setattr(pbundle, name, engine)
         n = 600
         v = ModelVariety(n)
-        monkeypatch.setattr(pbundle, "cohomology_sum", one_per_summand)
         pbundle._cohomology_coords.cache_clear()
         try:
-            assert cohomology_X(XLineBundle(v, 2 * n, 0)).dims() == {0: 2 * n + 1}
-            top = cohomology_X(XLineBundle(v, -3 * n - 1, 0))
-            assert top.dims() == {2 * n: 2 * n + 1}
+            for j, k in ((2 * n, 0), (100000, -7)):
+                table = cohomology_X(XLineBundle(v, j, k))
+                assert not table.is_zero()
+                assert set(table.dims()) <= {0, n - 1, n}
+                serre = cohomology_X(XLineBundle(v, -n - 1 - j, -k))
+                assert serre == table.reflect(2 * n)
         finally:
             pbundle._cohomology_coords.cache_clear()
+
+    def test_table_cache_is_bounded(self):
+        # verify.run_all(32) fills 59 861 tables, which the bound must hold
+        maxsize = pbundle._cohomology_coords.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 59861
+
+    def test_deep_classes_are_binomial_products(self):
+        # Riemann-Roch above: chi(X, O(j) (x) pi^*O(k)) = C(n + j, n) C(n + j + k, n)
+        # for j >= 0, so a class with sections only is that product
+        n = 600
+        v = ModelVariety(n)
+        pbundle._cohomology_coords.cache_clear()
+        try:
+            assert cohomology_X(XLineBundle(v, 2 * n, 0)).dims() == {0: comb(3 * n, n) ** 2}
+            top = cohomology_X(XLineBundle(v, -3 * n - 1, 0))
+            assert top.dims() == {2 * n: comb(3 * n, n) ** 2}
+            j, k = 100000, -7
+            table = cohomology_X(XLineBundle(v, j, k))
+            assert table.euler() == binom_poly(n + j, n) * binom_poly(n + j + k, n)
+        finally:
+            pbundle._cohomology_coords.cache_clear()
+
+
+class TestLineBundlesMatchTheRuns:
+    # The generic path takes a line bundle with j > 2n, and its Serre partner,
+    # through the runs of _pieces: no code shared with the three ranges.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_past_the_loop_box(self, n):
+        degrees = {0, n - 1, n, n + 1, 2 * n}
+        for k in range(-6 * n, 6 * n + 1):
+            for j in range(-6 * n - 1, 6 * n + 1):
+                table = pbundle._cohomology_coords(n, j, k)
+                assert set(table.dims()) <= degrees, (n, j, k)
+                if j > 2 * n or j < -3 * n - 1:
+                    expect = cohomology_with_pullback_twist(j, line_bundle(n, k))
+                    assert table == expect, (n, j, k)
