@@ -239,7 +239,7 @@ def bott_sort(w):
     return below, lam[:cut] + (t - below,) + tuple(a + 1 for a in lam[cut:])
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=1 << 16, typed=True)
 def bott_cohomology(w):
     """Full cohomology table of a LeviWeight; at most one degree is nonzero.
     The cache is typed, so a plain tuple equal to a cached weight misses it."""

@@ -1,14 +1,16 @@
 """Exact-sequence dimension chasing and Ext computations against the ideal.
 
 The proof engine is ``chase_solve``: given the terms of an exact complex
-with some dimensions unknown, it iterates two inference rules to a fixpoint,
+with some dimensions unknown, it applies two inference rules,
 
   (a) a term whose two neighbours are zero is itself zero;
   (b) in a maximal segment strictly between two zero terms, a single
       unknown is forced by the vanishing of the alternating dimension sum;
 
-and raises ``ChaseInconsistencyError`` when a fully-known zero-flanked
-segment has nonzero alternating sum.  Connecting-map ranks are never
+in one scan of the segments, which reaches their fixpoint: a zero is only
+written where a segment held its one unknown.  It raises
+``ChaseInconsistencyError`` when a fully-known zero-flanked segment has
+nonzero alternating sum.  Connecting-map ranks are never
 guessed, so a system can legitimately come back underdetermined; callers
 must treat unsolved labels as unknown rather than zero.
 
@@ -44,8 +46,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import comb
+from operator import is_
 
 from .bwb import (
     CohomologyTable,
@@ -124,61 +127,57 @@ def _segments(dims):
     return [(left + 1, right) for left, right in zip(zero_at, zero_at[1:]) if right - left > 1]
 
 
-def chase_solve(system):
-    """Propagate exactness constraints to a fixpoint.
+def _check_exact(system, labels, dims, spans):
+    """Raise at the first fully-known span whose alternating sum is not 0."""
+    for lo, hi in spans:
+        total = sum(dims[lo:hi:2]) - sum(dims[lo + 1:hi:2])
+        if total:
+            raise ChaseInconsistencyError(
+                f"{system.name}: zero-flanked segment {labels[lo:hi]} has alternating "
+                f"sum {total}, exactness fails"
+            )
 
-    Each round reads the segments between known zeros once: it checks the
-    fully-known ones, then applies rule (a) to every segment of one unknown
-    term, then rule (b) to every longer segment with one unknown.  Rule (a)
-    is rule (b) on a segment of one term, and zeroing that term leaves every
-    other segment as it was, so one segment list serves the whole round.
-    Solving the mirrored system, its terms read right to left, reaches the
-    same fixpoint, which tests assert.
+
+def chase_solve(system):
+    """Apply rules (a) and (b) to their fixpoint in one scan of the segments.
+
+    A zero is only ever written where a segment held its one unknown, so a
+    segment with two unknowns never changes and a solved segment is fully
+    known, with alternating sum 0 unless the solved value is 0 and splits
+    it; those two parts are checked last.  So errors keep the order of
+    rounds to a fixpoint: fully-known segments, rule-(b) negatives, split
+    parts.  The trace lists rule (a) steps, then rule (b) steps, each left
+    to right; the system read right to left reaches the same fixpoint.
     """
     labels, dims = map(list, zip(*system.terms)) if system.terms else ([], [])
-    trace = []
-
-    changed = True
-    while changed:
-        open_segs = []   # (lo, hi, dims[lo:hi]) of each segment with one unknown
-        for lo, hi in _segments(dims):
-            seg = dims[lo:hi]
-            unknowns = seg.count(None)
-            if unknowns == 1:
-                open_segs.append((lo, hi, seg))
-            elif not unknowns:
-                total = sum(seg[0::2]) - sum(seg[1::2])
-                if total != 0:
-                    raise ChaseInconsistencyError(
-                        f"{system.name}: zero-flanked segment {labels[lo:hi]} has alternating "
-                        f"sum {total}, exactness fails"
-                    )
-
-        for lo, hi, seg in open_segs:
-            if hi - lo == 1:
-                dims[lo] = 0
-                trace.append((labels[lo], "flanked-by-zeros", 0))
-
-        for lo, hi, seg in open_segs:
-            if hi - lo == 1:
-                continue
-            pos = seg.index(None)
-            seg[pos] = 0
-            rest = sum(seg[0::2]) - sum(seg[1::2])
-            solved = -rest if pos % 2 == 0 else rest
-            if solved < 0:
-                raise ChaseInconsistencyError(
-                    f"{system.name}: segment {labels[lo:hi]} forces {labels[lo + pos]} = "
-                    f"{solved} < 0"
-                )
-            dims[lo + pos] = solved
-            trace.append((labels[lo + pos], "alternating-sum", solved))
-        changed = bool(open_segs)
-
-    # the last round changed nothing, so its opening check covers the fixpoint
-    values = dict(zip(labels, dims))
-    unsolved = tuple(lab for lab, d in zip(labels, dims) if d is None)
-    return ChaseSolution(system, values, unsolved, tuple(trace))
+    trace, open_segs, splits = [], [], []
+    for lo, hi in _segments(dims):
+        if hi - lo == 1 and dims[lo] is None:
+            dims[lo] = 0
+            trace.append((labels[lo], "flanked-by-zeros", 0))
+            continue
+        seg = dims[lo:hi]
+        unknowns = seg.count(None)
+        if unknowns == 1:
+            open_segs.append((lo, hi, seg))
+        elif not unknowns:
+            _check_exact(system, labels, dims, ((lo, hi),))
+    for lo, hi, seg in open_segs:
+        pos = seg.index(None)
+        seg[pos] = 0
+        rest = sum(seg[0::2]) - sum(seg[1::2])
+        solved = -rest if pos % 2 == 0 else rest
+        if solved < 0:
+            raise ChaseInconsistencyError(
+                f"{system.name}: segment {labels[lo:hi]} forces {labels[lo + pos]} = {solved} < 0"
+            )
+        dims[lo + pos] = solved
+        trace.append((labels[lo + pos], "alternating-sum", solved))
+        if not solved:
+            splits += (lo, lo + pos), (lo + pos + 1, hi)
+    _check_exact(system, labels, dims, splits)
+    unsolved = tuple(compress(labels, map(is_, dims, repeat(None))))
+    return ChaseSolution(system, dict(zip(labels, dims)), unsolved, tuple(trace))
 
 
 def long_exact_system(name, n, columns):

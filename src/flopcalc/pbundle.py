@@ -47,7 +47,8 @@ depend on the ``side`` tag; it exists to keep functor domains honest.  The
 model is only defined for n >= 2 (n = 1 degenerates to an isomorphism).
 
 Pure functions over immutable values.  The only shared state is two
-``lru_cache``s, which only memoise: Bott's and the last 2^16 tables by (n, j, k).
+``lru_cache``s, which only memoise, and both are bounded: the last 2^16 of
+Bott's tables and the last 2^16 tables by (n, j, k).
 """
 
 from __future__ import annotations

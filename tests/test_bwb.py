@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flopcalc import bwb
+from flopcalc import bwb, homalg
 from flopcalc.bwb import (
     CohomologyTable,
     HomogeneousBundle,
@@ -124,6 +124,17 @@ class TestBottCohomology:
         assert bott_cohomology(w).dims() == {0: 3}
         with pytest.raises(AttributeError, match="'tuple' object has no attribute 'lam'"):
             bott_cohomology(tuple(w))
+
+    def test_cache_is_bounded_and_stays_typed(self):
+        # solving every reference chase system at n = 100 and n = 200 leaves
+        # about 25 000 tables in the cache, a long sweep that must stay under 2^16
+        for n in (100, 200):
+            for sysm in homalg.reference_chase_systems(n):
+                homalg.chase_solve(sysm)
+        info = bott_cohomology.cache_info()
+        assert info.maxsize == 1 << 16
+        assert info.currsize <= info.maxsize
+        assert bott_cohomology.cache_parameters()["typed"]
 
     @pytest.mark.parametrize("fake_dim", [0, -1])
     def test_non_positive_dominant_dimension_raises(self, monkeypatch, fake_dim):

@@ -4,7 +4,7 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flopcalc import homalg
@@ -77,8 +77,7 @@ class TestChaseSolve:
             sol.require("T9")
 
     def test_one_segment_scan_per_round(self, monkeypatch):
-        # every reference system is solved in two rounds: one that applies the
-        # rules and one that finds nothing left to do
+        # every reference system is solved in one scan of its segments
         systems = [sysm for n in range(2, 25) for sysm in reference_chase_systems(n)]
         segments, scans = homalg._segments, []
 
@@ -90,7 +89,13 @@ class TestChaseSolve:
         for sysm in systems:
             scans.clear()
             chase_solve(sysm)
-            assert len(scans) == 2, (sysm.name, len(scans))
+            assert len(scans) == 1, (sysm.name, len(scans))
+
+    def test_zero_solution_splits_its_segment(self):
+        # 3 - 2 + x - 2 + 1 = 0 forces T3 = 0, which leaves 3 - 2 and 2 - 1 unbalanced
+        message = "split: zero-flanked segment ['T1', 'T2'] has alternating sum 1, exactness fails"
+        with pytest.raises(ChaseInconsistencyError, match=f"^{re.escape(message)}$"):
+            chase_solve(system(0, 3, 2, None, 2, 1, 0, name="split"))
 
     def test_inconsistent_known_segment(self):
         with pytest.raises(ChaseInconsistencyError):
@@ -197,6 +202,80 @@ class TestChaseSolve:
             bwd = chase_solve(mirrored(sysm))
             assert fwd.values == bwd.values
             assert set(fwd.unsolved) == set(bwd.unsolved)
+
+
+def rounds_oracle(sysm):
+    """The solver as rounds to a fixpoint, each round reading the segments
+    afresh; kept as the reference the one-scan solver must agree with, and
+    sharing none of its logic."""
+    labels, dims = map(list, zip(*sysm.terms)) if sysm.terms else ([], [])
+    trace = []
+    changed = True
+    while changed:
+        open_segs = []
+        zero_at = [i for i, d in enumerate(dims) if d == 0]
+        segments = [(left + 1, right) for left, right in zip(zero_at, zero_at[1:]) if right - left > 1]
+        for lo, hi in segments:
+            seg = dims[lo:hi]
+            unknowns = seg.count(None)
+            if unknowns == 1:
+                open_segs.append((lo, hi, seg))
+            elif not unknowns:
+                total = sum(seg[0::2]) - sum(seg[1::2])
+                if total != 0:
+                    raise ChaseInconsistencyError(
+                        f"{sysm.name}: zero-flanked segment {labels[lo:hi]} has alternating "
+                        f"sum {total}, exactness fails"
+                    )
+        for lo, hi, seg in open_segs:
+            if hi - lo == 1:
+                dims[lo] = 0
+                trace.append((labels[lo], "flanked-by-zeros", 0))
+        for lo, hi, seg in open_segs:
+            if hi - lo == 1:
+                continue
+            pos = seg.index(None)
+            seg[pos] = 0
+            rest = sum(seg[0::2]) - sum(seg[1::2])
+            solved = -rest if pos % 2 == 0 else rest
+            if solved < 0:
+                raise ChaseInconsistencyError(
+                    f"{sysm.name}: segment {labels[lo:hi]} forces {labels[lo + pos]} = "
+                    f"{solved} < 0"
+                )
+            dims[lo + pos] = solved
+            trace.append((labels[lo + pos], "alternating-sum", solved))
+        changed = bool(open_segs)
+    unsolved = tuple(lab for lab, d in zip(labels, dims) if d is None)
+    return dict(zip(labels, dims)), unsolved, tuple(trace)
+
+
+def one_scan(sysm):
+    sol = chase_solve(sysm)
+    return sol.values, sol.unsolved, sol.trace
+
+
+class TestOneScanMatchesRounds:
+    @staticmethod
+    def outcome(solve, sysm):
+        """(values, unsolved, trace), or the ChaseInconsistencyError text."""
+        try:
+            return solve(sysm)
+        except ChaseInconsistencyError as exc:
+            return str(exc)
+
+    # None and 0 drawn twice as often, so that more systems are consistent
+    @given(st.lists(st.sampled_from((None, 0, None, 0, 1, 2, 3)), max_size=20))
+    # a zero that splits its segment, the same before a later negative, and
+    # two rule-(a) steps around a rule-(b) one
+    @example([0, 3, 2, None, 2, 1, 0])
+    @example([0, 3, 2, None, 2, 1, 0, 3, 1, None, 0])
+    @example([0, None, 0, 2, None, 0, None, 0])
+    @settings(max_examples=300, deadline=None)
+    def test_random_systems_and_mirrors(self, dims):
+        sysm = system(*dims, name="hyp")
+        for solved in (sysm, mirrored(sysm)):
+            assert self.outcome(one_scan, solved) == self.outcome(rounds_oracle, solved)
 
 
 class TestChaseRegression:
