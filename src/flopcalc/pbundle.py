@@ -34,13 +34,16 @@ For other weights the degree changes only in the two critical ranges of a,
 where t - a passes the lower rows of beta or its first row (see
 _critical_ranges).  They cut 0..j into at most three runs.  On a run the
 summands that carry cohomology all sit in one degree d, which holds (-1)^d
-times the telescoped sum: two Bott evaluations however long the run.  d is
-read from Pieri probes at the a nearest each end whose summands carry
-cohomology; ends that disagree, or a dimension that is not positive, raise
-ArithmeticError.  Runs of one value, the critical ranges and every class
-with j <= 2n are evaluated at every a, in one cohomology_sum call.  A class
-thus costs O(n + lam_0 - lam_{n-1}) Pieri decompositions, however large j
-and t (and so k) are.
+times the telescoped sum: two calls to Bott's uncached body however long the
+run.  d counts the rows of beta below t - a, read from w alone by
+_run_degree: n - 1 when t - a >= lam_0 + n - 1, plus 1 when
+2a <= t - lam_0 - n.  Three O(1) checks raise ArithmeticError: the rule
+gives two degrees at the run's ends, a nonzero sum lacks the sign (-1)^d, or
+Bott's own check finds a dominant weight of Weyl dimension <= 0.  Runs of
+one value, the critical ranges and every class with j <= 2n are evaluated
+at every a, in one cohomology_sum call.  A class thus costs
+O(n + lam_0 - lam_{n-1}) Pieri decompositions, however large j and t (and
+so k) are.
 
 The flopped side carries an isomorphic bundle structure, so tables do not
 depend on the ``side`` tag; it exists to keep functor domains honest.  The
@@ -61,14 +64,16 @@ from .bwb import (
     EMPTY_TABLE,
     CohomologyTable,
     HomogeneousBundle,
-    bott_sort,
+    bott_cohomology,
     cohomology_sum,
     dual,
     line_bundle,
     tensor_with_sym,
     twist,
-    weyl_dim,
 )
+
+# Bott's uncached body, bound once: a tracer's wrapper has no __wrapped__
+_bott = bott_cohomology.__wrapped__
 
 
 class Side(enum.Enum):
@@ -224,7 +229,8 @@ def _critical_ranges(w):
     crosses these bounds, even when it is empty, so on a run every row stays
     on one side of s or meets it: a summand that meets no row carries its
     cohomology in the degree that counts the rows below s, the same for every
-    a in the run.  _add_run's end probes check this at run time."""
+    a in the run.  _run_degree counts those rows at a run's two ends, and
+    _add_run raises if the ends differ or the sum lacks the sign (-1)^d."""
     n, top, bottom, t = w.n, w.lam[0], w.lam[-1], w.t
     return sorted((
         (t - top - n + 2, t - bottom - 1),                   # the lower rows
@@ -246,36 +252,25 @@ def _pieces(w, j):
 
 def _add_run(w, first, last, dims):
     """Add the sum over a = first..last, a run between the critical ranges:
-    (-1)^d times the telescoped Euler characteristic, in the one degree d
-    that the Pieri probes nearest each end carry."""
+    (-1)^d times the telescoped Euler characteristic, d = _run_degree."""
     n = w.n
-    total = comb(n + last, n) * _euler(twist(w, last))
+    total = comb(n + last, n) * _bott(twist(w, last)).euler()
     if first:
-        total -= comb(n + first - 1, n) * _euler(twist(w, first - 1))
-    deg, end = _probe(w, range(first, last + 1)), _probe(w, range(last, first - 1, -1))
-    dim = (-1) ** (deg or 0) * total
-    if end != deg or dim < 0 or (dim == 0) != (deg is None):
+        total -= comb(n + first - 1, n) * _bott(twist(w, first - 1)).euler()
+    deg, end = _run_degree(w, first), _run_degree(w, last)
+    dim = (-1) ** deg * total
+    if end != deg or dim < 0:
         raise ArithmeticError(f"run a = {first}..{last} of {w} is not in one degree: "
                               f"h^{deg} at the start, h^{end} at the end, chi = {total}")
     if dim:
         dims[deg] = dims.get(deg, 0) + dim
 
 
-def _probe(w, values):
-    """The degree of the first a in values whose Pieri summands carry
-    cohomology, or None; raises if they carry it in two degrees."""
-    for a in values:
-        degrees = {sort[0] for sort in map(bott_sort, tensor_with_sym(w, a).summands) if sort}
-        if len(degrees) > 1:
-            raise ArithmeticError(f"Pieri step a = {a} of {w} spans degrees {sorted(degrees)}")
-        if degrees:
-            return degrees.pop()
-
-
-def _euler(w):
-    """chi(P^n, w) from Bott's sort, without filling bott_cohomology's cache."""
-    sort = bott_sort(w)
-    return 0 if sort is None else (-1) ** sort[0] * weyl_dim(sort[1])
+def _run_degree(w, a):
+    """The degree that step a's summands carry off the critical ranges: the
+    rows of beta below s = t - a, by the bounds in _critical_ranges."""
+    n, top, s = w.n, w.lam[0], w.t - a
+    return (n - 1) * (s >= top + n - 1) + (2 * a <= w.t - top - n)
 
 
 def hom_dims(a, b):

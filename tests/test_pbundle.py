@@ -411,9 +411,7 @@ class TestHugeTwists:
             calls.append(mu)
             return weyl_dim(mu)
 
-        # weyl_dim is looked up in bwb for Bott's cache and in pbundle for runs
         monkeypatch.setattr(bwb, "weyl_dim", counting)
-        monkeypatch.setattr(pbundle, "weyl_dim", counting, raising=False)
         bott_cohomology.cache_clear()
         j, k = 10**100, -10**50
         table = cohomology_with_pullback_twist(j, line_bundle(n, k))
@@ -427,7 +425,8 @@ class TestRunsSitInOneDegree:
     def test_every_step_of_a_run(self):
         # _critical_ranges' argument, checked summand by summand on weights
         # whose lam has two or more runs of equal entries, where degrees are
-        # not monotone in a across Pieri steps
+        # not monotone in a across Pieri steps; _run_degree names the degree
+        # at both ends of each run
         runs = 0
         for n in range(2, 5):
             for lam in combinations_with_replacement(range(2, -3, -1), n):
@@ -441,7 +440,8 @@ class TestRunsSitInOneDegree:
                         degrees = {sort[0] for a in range(first, last + 1)
                                    for sort in map(bott_sort, tensor_with_sym(w, a).summands)
                                    if sort}
-                        assert len(degrees) <= 1, (w, first, last, degrees)
+                        ends = {pbundle._run_degree(w, first), pbundle._run_degree(w, last)}
+                        assert degrees <= ends and len(ends) == 1, (w, first, last, degrees)
                         runs += 1
         assert runs == 4099
 
@@ -449,16 +449,27 @@ class TestRunsSitInOneDegree:
 class TestRunDegreeCheck:
     def test_run_across_a_degree_change_raises(self, monkeypatch):
         # critical ranges past j leave one run over a = 0..j; O(-20) at a = 0
-        # sits in degree n and the summand at a = j in degree 0
+        # sits in degree n and the summand at a = j in degree 0 (j = 100) or
+        # n - 1 (j = 10).  At j = 10 the sum has the sign (-1)^n, so only the
+        # comparison of the run's two ends catches it
         monkeypatch.setattr(pbundle, "_critical_ranges", lambda w: [(10**6, 10**6)] * 2)
-        with pytest.raises(ArithmeticError):
-            cohomology_with_pullback_twist(100, line_bundle(3, -20))
+        for j in (100, 10):
+            with pytest.raises(ArithmeticError):
+                cohomology_with_pullback_twist(j, line_bundle(3, -20))
 
     def test_run_without_a_positive_dimension_raises(self, monkeypatch):
-        # the probes find cohomology on every run, so a telescoped sum of 0
-        # can only be an engine fault
-        monkeypatch.setattr(pbundle, "weyl_dim", lambda mu: 0)
-        with pytest.raises(ArithmeticError):
+        # a run's ends call Bott's uncached body, whose positivity check
+        # refuses a dominant weight of Weyl dimension 0
+        monkeypatch.setattr(bwb, "weyl_dim", lambda mu: 0)
+        with pytest.raises(ArithmeticError, match="not positive"):
+            cohomology_with_pullback_twist(100, line_bundle(3, -20))
+
+    def test_run_degree_off_by_one_raises(self, monkeypatch):
+        # negative control: a degree one off at both ends passes the end
+        # comparison, so the sign of the nonzero sum must catch it
+        run_degree = pbundle._run_degree
+        monkeypatch.setattr(pbundle, "_run_degree", lambda w, a: run_degree(w, a) + 1)
+        with pytest.raises(ArithmeticError, match=r"h\^(\d+) at the start, h\^\1 at the end"):
             cohomology_with_pullback_twist(100, line_bundle(3, -20))
 
 
@@ -490,8 +501,10 @@ class TestPrefixPath:
         def engine(*args):
             raise AssertionError("a line bundle reached the Pieri, Bott or Weyl code")
 
-        for name in ("tensor_with_sym", "cohomology_sum", "bott_sort", "weyl_dim"):
+        for name in ("tensor_with_sym", "cohomology_sum", "_bott"):
             monkeypatch.setattr(pbundle, name, engine)
+        for name in ("bott_sort", "weyl_dim"):
+            monkeypatch.setattr(bwb, name, engine)
         n = 600
         v = ModelVariety(n)
         pbundle._cohomology_coords.cache_clear()
