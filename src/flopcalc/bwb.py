@@ -158,9 +158,6 @@ class CohomologyTable(namedtuple("CohomologyTable", "entries")):
         """The table read backwards from degree ``top`` (Serre reflection)."""
         return CohomologyTable.from_dict({top - d: v for d, v in self.entries})
 
-    def is_zero(self):
-        return not self.entries
-
 
 EMPTY_TABLE = CohomologyTable(())
 
@@ -254,10 +251,7 @@ def bott_cohomology(w):
 
 
 def cohomology_sum(bundle):
-    """Degree-wise sum of bott_cohomology over the summands; a bundle with one
-    summand gets that summand's table itself."""
-    if len(bundle.summands) == 1:
-        return bott_cohomology(bundle.summands[0])
+    """Degree-wise sum of bott_cohomology over the summands."""
     dims = {}
     for w in bundle.summands:
         for deg, dim in bott_cohomology(w).entries:
@@ -297,17 +291,13 @@ def tensor_with_sym(w, a):
 
     Horizontal-strip Pieri rule on the Q-weight, with the twist bookkeeping
     Sym^a Theta = Sym^a Q tensor O(a).  As lam_i <= mu_i <= lam_{i-1}, only
-    the first row of each run of equal entries of lam takes boxes.  A lam of
-    one run, as for every line bundle, has the one summand (lam_0 + a,
-    lam_1, ..., lam_{n-1} | t - a).  Otherwise the walk goes run by run on an
-    explicit stack, so its depth is not bounded by the recursion limit, and
-    emits the summands in lexicographic order of mu.
+    the first row of each run of equal entries of lam takes boxes.  The walk
+    goes run by run on an explicit stack, so its depth is not bounded by the
+    recursion limit, and emits the summands in lexicographic order of mu.
     """
     if a < 0:
         raise ValueError(f"symmetric power must be >= 0, got {a}")
     n, lam, t = w.n, w.lam, w.t - a
-    if lam[0] == lam[-1]:
-        return HomogeneousBundle((LeviWeight(n, (lam[0] + a,) + lam[1:], t),))
     results = []
     # (start of the next run, rows above it, boxes left to place)
     stack = [(0, (), a)]

@@ -29,12 +29,9 @@ On top of the solver this module assembles:
 
 Every long exact sequence chased here, for h^i(I), Ext^i(O_Y, I),
 Ext^i(I, I) and Ext^i(E_p, I), comes from the one builder
-``long_exact_system``.  Each column is a label format holding exactly one
-``{i}`` field and no other brace, with its dimensions; the system is built
-column by column, each column's labels and dims made once and then
-interleaved degree by degree.  Each reference system is built once and
-solved once per call: the solved h^i(I) and Ext^i(O_Y, I) systems fill in
-the Ext^i(I, I) system.
+``long_exact_system``.  Each reference system is built once and solved once
+per call: the solved h^i(I) and Ext^i(O_Y, I) systems fill in the
+Ext^i(I, I) system.
 
 >>> sys = long_exact_system("doc", 1, (("A^{i}", None), ("B^{i}", {0: 5}),
 ...                                    ("C^{i}", {})))
@@ -382,7 +379,8 @@ def _ideal_self_chase(n):
 
 
 def reference_chase_systems(n):
-    """Every system this module assembles for its own computations."""
+    """Every system this module assembles for its own computations, unsolved;
+    solving the two Ext^i(I, I) feeders again costs ~3 % of a cold build."""
     ideal, centre, self_ext = _ideal_self_chase(n)
     return [ideal.system, centre.system, self_ext] + [
         restriction_chase_system(p, n) for p in range(1, n + 1)]

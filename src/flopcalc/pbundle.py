@@ -163,6 +163,7 @@ def canonical_class(variety):
 @lru_cache(maxsize=1 << 16)
 def _cohomology_coords(n, j, k):
     if j < 0:
+        # cached: every partner that run_all(12) reflects is also looked up directly
         return EMPTY_TABLE if j >= -n else _cohomology_coords(n, -n - 1 - j, -k).reflect(2 * n)
     dims = {}
     for deg, lo, hi in ((0, -k, j), (n - 1, (-k - n) // 2 + 1, -k - n),
@@ -203,9 +204,10 @@ def cohomology_with_pullback_twist(j, w):
     if j < 0:
         return cohomology_with_pullback_twist(-n - 1 - j, dual(w)).reflect(2 * n)
     direct, dims = [], {}
-    # from 2 values on, a run costs less summed than evaluated at every a
+    # no cut up to j = 2n: cutting there made ext-chase 3-4 % slower (2 vCPUs)
     pieces = _pieces(w, j) if j > 2 * n else ((0, j, False),)
     for first, last, run in pieces:
+        # from 2 values on, a run costs less summed than evaluated at every a
         if run and last > first:
             _add_run(w, first, last, dims)
         else:

@@ -158,12 +158,18 @@ def verify_cor_2_2(n):
 def verify_lemma_3_4(n):
     """No higher cohomology for either family over the full (l, m) square.
 
-    The direct classes (l, m) are the differences b - a that prop-3-5 takes
-    over the second spanning rectangle, and the flopped classes
-    (l + m, -m) are their images under psi, so these are the tables
-    prop-3-5 compares.  The two families overlap: each distinct class is
-    computed once, since a repeat passed when first met (or the suite would
-    have returned), while ``cases`` still counts every (family, l, m).
+    The direct classes (l, m) are the differences b - a of prop-3-5's second
+    spanning rectangle, and the flopped classes (l + m, -m) their psi images.
+    Each distinct class is computed once, as a repeat passed when first met,
+    while ``cases`` counts every (family, l, m).
+
+    It holds at every n, by the ranges of a in pbundle's docstring, in three
+    cases.  j >= 0: then k >= -n, so the h^{n-1} range ends at -k - n <= 0,
+    below its start, and the h^n range ends below 0.  -n <= j <= -1: the band
+    carries nothing.  j <= -n - 1: the class is flopped, l + m <= -n - 1, and
+    Serre reflects it to (j', k') = (-n - 1 - l - m, m) with k' >= -n and
+    j' <= -1 - m, so all three of its ranges are empty, h^0's
+    max(-m, 0) <= a <= j' too.
     """
     ModelVariety(n)  # the model needs n >= 2
     cases = 0
@@ -214,7 +220,9 @@ def verify_prop_3_5(n):
     pairs, so the first failing pair is the one the full loop reports.
     When psi is not affine, two pairs with one difference can have
     different image differences, and the first failing pair need not be a
-    witness; then every pair is visited.
+    witness; then every pair is visited.  psi preserves chi on all of Pic:
+    on all three branches chi(O_X(j, k)) is the polynomial
+    C(n + j, n) C(n + j + k, n), whose factors (j, k) -> (j + k, -k) swaps.
     """
     omega_prime = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
     images = [flop.apply_psi(c) for c in omega_prime]

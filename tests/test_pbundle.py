@@ -136,7 +136,7 @@ class TestCohomology:
     def test_acyclic_band(self, v2):
         for m in range(-6, 7):
             for j in (-1, -2):
-                assert cohomology_X(XLineBundle(v2, j, m)).is_zero()
+                assert not cohomology_X(XLineBundle(v2, j, m)).entries
 
     def test_top_degree_from_duality(self, v2):
         assert cohomology_X(XLineBundle(v2, -3, 0)).dims() == {4: 1}
@@ -177,7 +177,7 @@ class TestHomDims:
 
     def test_backwards_hom_vanishes(self, v2):
         table = hom_dims(XLineBundle(v2, 0, 1), XLineBundle(v2, 0, 0))
-        assert table.is_zero()
+        assert not table.entries
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_is_the_cohomology_of_the_difference(self, n):
@@ -259,7 +259,7 @@ class TestPullbackTwists:
     def test_acyclic_band_kills_any_twist(self):
         for p in (1, 2):
             table = cohomology_with_pullback_twist(-p, form_bundle(p, 2))
-            assert table.is_zero()
+            assert not table.entries
 
     def test_line_bundle_twist_euler_closed_form(self):
         checked = 0
@@ -399,7 +399,7 @@ class TestHugeTwists:
         step = cohomology_sum(tensor_with_sym(lb, j))
         for deg in range(2 * n + 1):
             assert top.get(deg) - below.get(deg) == step.get(deg), deg
-        assert not top.is_zero()
+        assert top.entries
         serre = cohomology_with_pullback_twist(-n - 1 - j, line_bundle(n, -k))
         assert serre == top.reflect(2 * n)
 
@@ -511,7 +511,7 @@ class TestPrefixPath:
         try:
             for j, k in ((2 * n, 0), (100000, -7)):
                 table = cohomology_X(XLineBundle(v, j, k))
-                assert not table.is_zero()
+                assert table.entries
                 assert set(table.dims()) <= {0, n - 1, n}
                 serre = cohomology_X(XLineBundle(v, -n - 1 - j, -k))
                 assert serre == table.reflect(2 * n)

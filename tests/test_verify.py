@@ -339,6 +339,25 @@ class TestIndividualSuites:
         assert result.status is Status.FAIL
         assert result.evidence["counterexample"] == expected
 
+    def test_lemma_3_4_argument_on_the_range_bounds(self):
+        # verify_lemma_3_4's docstring argument, engine-free: the degrees whose
+        # range of a is non-empty, with the bounds of pbundle's docstring
+        # restated, for every class of both families on the box
+        def degrees(n, j, k):
+            bounds = ((0, -k, j), (n - 1, (-k - n) // 2 + 1, -k - n),
+                      (n, 0, -((k + n) // 2) - 1))
+            return [deg for deg, lo, hi in bounds if max(lo, 0) <= min(hi, j)]
+
+        for n in range(2, 31):
+            box = range(-n, n + 1)
+            for l in box:
+                for m in box:
+                    for j, k in ((l, m), (l + m, -m)):
+                        if j >= 0:
+                            assert degrees(n, j, k) in ([], [0]), (n, j, k)
+                        elif j < -n:   # Serre reflects every degree above 0
+                            assert degrees(n, -n - 1 - j, -k) == [], (n, j, k)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_serre_3_6(self, n):
         result = verify_serre_3_6(n)
