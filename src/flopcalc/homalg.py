@@ -380,7 +380,7 @@ def _ideal_self_chase(n):
 
 def reference_chase_systems(n):
     """Every system this module assembles for its own computations, unsolved;
-    solving the two Ext^i(I, I) feeders again costs ~3 % of a cold build."""
+    solving the two Ext^i(I, I) feeders again costs ~3.5 % of a cold build."""
     ideal, centre, self_ext = _ideal_self_chase(n)
     return [ideal.system, centre.system, self_ext] + [
         restriction_chase_system(p, n) for p in range(1, n + 1)]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flopcalc import homalg
-from flopcalc.bwb import LeviWeight, levi_rank, line_bundle
+from flopcalc import homalg, pbundle
+from flopcalc.bwb import LeviWeight, levi_rank, line_bundle, tensor_with_sym
 from flopcalc.homalg import (
     ChaseInconsistencyError,
     ChaseSystem,
@@ -424,6 +424,24 @@ class TestFirstRouteExt:
         # one entry per degree 0..2n
         assert len(t1) == len(t2) == 5
         assert [i for i, d in enumerate(t1) if d is None] == [1, 2]
+
+    def test_pushforward_makes_at_most_two_pieri_steps(self, monkeypatch):
+        # O(p) (x) pi^*Omega^p: every step a >= 2 meets a row of Bott's beta
+        # that the Pieri rule cannot move, so only a = 0 and a = 1 decompose
+        calls = []
+
+        def counting(w, a):
+            calls.append(a)
+            return tensor_with_sym(w, a)
+
+        monkeypatch.setattr(pbundle, "tensor_with_sym", counting)
+        # the pushforward is the work counted; the system around it is not
+        monkeypatch.setattr(homalg, "long_exact_system", lambda *args: None)
+        for n in range(2, 41):
+            for p in range(1, n + 1):
+                calls.clear()
+                restriction_chase_system(p, n)
+                assert len(calls) <= 2, (p, n, calls)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
