@@ -12,41 +12,30 @@ computed by pushing forward to the base:
   * j <= -n-1     : global Serre duality against the canonical class
                     (-n-1, 0) reflects back into the first case.
 
-The sum over a is taken in closed form.  For the twisting weight
-w = (lam, t), the Pieri summands of Sym^a Theta (x) w are (mu, t - a) with
-mu a horizontal strip of size a over lam.  Bott's rule reads
-beta = (mu_0 + n, mu_1 + n - 1, ..., mu_{n-1} + 1, t - a): the summand's
-cohomology sits in the degree that counts the entries of beta_0..beta_{n-1}
-below t - a, or nowhere when t - a equals one of them.  On the base, Sym^a
-of the Euler sequence 0 -> O -> V(1) -> Theta -> 0, V = C^{n+1}, is
-0 -> S^{a-1}V (x) w(a-1) -> S^a V (x) w(a) -> Sym^a Theta (x) w -> 0, with
-w(a) = twist(w, a), so the Euler characteristics over a = first..last sum to
+For the twisting weight w = (lam, t), the Pieri summands of
+Sym^a Theta (x) w are (mu, t - a) with mu a horizontal strip of size a over
+lam.  Bott's rule reads beta = (mu_0 + n, mu_1 + n - 1, ..., mu_{n-1} + 1,
+t - a): the summand's cohomology sits in the degree that counts the entries
+of beta_0..beta_{n-1} below t - a, or nowhere when t - a equals one of them.
+On the base, Sym^a of the Euler sequence 0 -> O -> V(1) -> Theta -> 0,
+V = C^{n+1}, is 0 -> S^{a-1}V (x) w(a-1) -> S^a V (x) w(a) -> Sym^a Theta (x) w
+-> 0, with w(a) = twist(w, a), so the Euler characteristics over
+a = first..last sum to
 C(n + last, n) chi(w(last)) - C(n + first - 1, n) chi(w(first - 1)).
 
-cohomology_X, the line-bundle case w = O(k), caches its tables by (n, j, k).
-There mu = (a, 0, ..., 0), so step a sits in h^0 for a >= -k, in h^{n-1} for
-(-k - n) // 2 + 1 <= a <= -k - n, in h^n for a <= -((k + n) // 2) - 1 and
-nowhere else.  Each range lo..hi, clipped to [0, j], adds
-(-1)^d (S(hi) - S(lo - 1)) in its degree d, with
+cohomology_X, the line-bundle case w = O(k), sums over a in closed form and
+caches its tables by (n, j, k).  There mu = (a, 0, ..., 0), so step a sits
+in h^0 for a >= -k, in h^{n-1} for (-k - n) // 2 + 1 <= a <= -k - n, in h^n
+for a <= -((k + n) // 2) - 1 and nowhere else.  Each range lo..hi, clipped
+to [0, j], adds (-1)^d (S(hi) - S(lo - 1)) in its degree d, with
 S(m) = C(n + m, n) C(n + m + k, n) and C(n + m, n) read as a polynomial in m.
 
-For other weights the degree changes only in the two critical ranges of a,
-where t - a passes the lower rows of beta or its first row (see
-_critical_ranges).  They cut 0..j into at most three runs.  On a run the
-summands that carry cohomology all sit in one degree d, which holds (-1)^d
-times the telescoped sum: two calls to Bott's uncached body however long the
-run.  d counts the rows of beta below t - a, read from w alone by
-_run_degree: n - 1 when t - a >= lam_0 + n - 1, plus 1 when
-2a <= t - lam_0 - n.  Three O(1) checks raise ArithmeticError: the rule
-gives two degrees at the run's ends, a nonzero sum lacks the sign (-1)^d, or
-Bott's own check finds a dominant weight of Weyl dimension <= 0.  Runs of
-one value, the critical ranges and every class with j <= 2n are evaluated
-at each a, in one cohomology_sum call, except where t - a meets a fixed row:
-a row i >= 1 with lam_i = lam_{i-1} keeps mu_i = lam_i at every step, so
-every summand of step a = t - lam_i - n + i collides and the step is
-skipped.  A class thus costs O(n + lam_0 - lam_{n-1}) Pieri decompositions,
-less one per fixed row met, however large j and t (and so k) are:
-O(p) (x) pi^*Omega^p takes two (a = 0, 1) instead of p + 1.
+For other weights the sum is evaluated at each a = 0..j, in one
+cohomology_sum call, except where t - a meets a fixed row: a row i >= 1
+with lam_i = lam_{i-1} keeps mu_i = lam_i at every step, so every summand
+of step a = t - lam_i - n + i collides and the step is skipped.
+O(p) (x) pi^*Omega^p thus takes two Pieri decompositions (a = 0, 1)
+instead of p + 1.
 
 The flopped side carries an isomorphic bundle structure, so tables do not
 depend on the ``side`` tag; it exists to keep functor domains honest.  The
@@ -67,16 +56,11 @@ from .bwb import (
     EMPTY_TABLE,
     CohomologyTable,
     HomogeneousBundle,
-    bott_cohomology,
     cohomology_sum,
     dual,
-    line_bundle,
+    form_bundle,
     tensor_with_sym,
-    twist,
 )
-
-# Bott's uncached body, bound once: a tracer's wrapper has no __wrapped__
-_bott = bott_cohomology.__wrapped__
 
 
 class Side(enum.Enum):
@@ -195,89 +179,21 @@ def cohomology_X(lb):
 def cohomology_with_pullback_twist(j, w):
     """h^i(X, O_X(j) (x) pi^* F), X the model over the base of w, for F of
     Levi weight w, by the three branches of the module docstring (F-dual in
-    the Serre branch).  The cost does not grow with |j| or with the twist of F:
+    the Serre branch).  The cost is one Pieri decomposition per step a that
+    is not skipped, so it grows with |j|; the product never asks for j > n:
 
-    >>> table = cohomology_with_pullback_twist(10**9, line_bundle(3, -10**9))
-    >>> sorted(table.dims()), table.get(0)
-    ([0, 2, 3], 166666667666666668500000001)
+    >>> cohomology_with_pullback_twist(2, form_bundle(2, 3)).dims()
+    {1: 1, 2: 1}
     """
     n = ModelVariety(w.n).n  # the model needs n >= 2
     if -n <= j <= -1:
         return EMPTY_TABLE
     if j < 0:
         return cohomology_with_pullback_twist(-n - 1 - j, dual(w)).reflect(2 * n)
-    direct, dims = [], {}
     # the steps where t - a meets a fixed row of beta carry nothing
     dead = {w.t - w.lam[i] - n + i for i in range(1, n) if w.lam[i] == w.lam[i - 1]}
-    # no cut up to j = 2n: cutting there made ext-chase 3-4 % slower (2 vCPUs)
-    pieces = _pieces(w, j) if j > 2 * n else ((0, j, False),)
-    for first, last, run in pieces:
-        # from 2 values on, a run costs less summed than evaluated at every a
-        if run and last > first:
-            _add_run(w, first, last, dims)
-        else:
-            direct += [s for a in range(first, last + 1) if a not in dead
-                       for s in tensor_with_sym(w, a).summands]
-    for deg, dim in cohomology_sum(HomogeneousBundle(tuple(direct))).entries:
-        dims[deg] = dims.get(deg, 0) + dim
-    return CohomologyTable.from_dict(dims)
-
-
-def _critical_ranges(w):
-    """The two half-open ranges of a to evaluate directly, by lower end.
-
-    Why a run between them sits in one degree: let s = t - a for a summand
-    (mu, s) at step a.  Rows i >= 1 satisfy lam_i <= mu_i <= lam_{i-1}, so
-    lam_{n-1} + 1 <= beta_{n-1} < ... < beta_1 <= lam_0 + n - 1.  The first
-    row takes c boxes, a - (lam_0 - lam_{n-1}) <= c <= a, so
-    a + lam_{n-1} + n <= beta_0 <= a + lam_0 + n.  The lower-row range holds
-    the a with lam_{n-1} + 2 <= s <= lam_0 + n - 2, the first-row range those
-    with t - lam_0 - n < 2a < t - lam_{n-1} - n.  Each cuts 0..j where s
-    crosses these bounds, even when it is empty, so on a run every row stays
-    on one side of s or meets it: a summand that meets no row carries its
-    cohomology in the degree that counts the rows below s, the same for every
-    a in the run.  _run_degree counts those rows at a run's two ends, and
-    _add_run raises if the ends differ or the sum lacks the sign (-1)^d."""
-    n, top, bottom, t = w.n, w.lam[0], w.lam[-1], w.t
-    return sorted((
-        (t - top - n + 2, t - bottom - 1),                   # the lower rows
-        ((t - top - n) // 2 + 1, -((bottom + n - t) // 2)),  # the first row
-    ))
-
-
-def _pieces(w, j):
-    """Cut a = 0..j into (first, last, is_run): runs and critical ranges."""
-    start = 0
-    for lo, hi in _critical_ranges(w):
-        lo = min(max(lo, start), j + 1)
-        hi = min(max(hi, lo), j + 1)
-        yield start, lo - 1, True
-        yield lo, hi - 1, False
-        start = hi
-    yield start, j, True
-
-
-def _add_run(w, first, last, dims):
-    """Add the sum over a = first..last, a run between the critical ranges:
-    (-1)^d times the telescoped Euler characteristic, d = _run_degree."""
-    n = w.n
-    total = comb(n + last, n) * _bott(twist(w, last)).euler()
-    if first:
-        total -= comb(n + first - 1, n) * _bott(twist(w, first - 1)).euler()
-    deg, end = _run_degree(w, first), _run_degree(w, last)
-    dim = (-1) ** deg * total
-    if end != deg or dim < 0:
-        raise ArithmeticError(f"run a = {first}..{last} of {w} is not in one degree: "
-                              f"h^{deg} at the start, h^{end} at the end, chi = {total}")
-    if dim:
-        dims[deg] = dims.get(deg, 0) + dim
-
-
-def _run_degree(w, a):
-    """The degree that step a's summands carry off the critical ranges: the
-    rows of beta below s = t - a, by the bounds in _critical_ranges."""
-    n, top, s = w.n, w.lam[0], w.t - a
-    return (n - 1) * (s >= top + n - 1) + (2 * a <= w.t - top - n)
+    return cohomology_sum(HomogeneousBundle(tuple(
+        s for a in range(j + 1) if a not in dead for s in tensor_with_sym(w, a).summands)))
 
 
 def hom_dims(a, b):

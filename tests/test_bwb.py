@@ -144,6 +144,15 @@ class TestBottCohomology:
         with pytest.raises(ArithmeticError, match=r"\(0, 0, -3\)"):
             bott_cohomology.__wrapped__(line_bundle(2, 3))
 
+    def test_cached_call_without_a_positive_dimension_raises(self, monkeypatch):
+        # the same check through the cache: with the cache cleared, the call
+        # must reach it, raise and leave no table behind
+        monkeypatch.setattr(bwb, "weyl_dim", lambda mu: 0)
+        bott_cohomology.cache_clear()
+        with pytest.raises(ArithmeticError, match="not positive"):
+            bott_cohomology(line_bundle(3, -20))
+        assert bott_cohomology.cache_info().currsize == 0
+
 
 def pair_product(mu):
     """Weyl's product over all pairs, as a Fraction that must come out whole."""

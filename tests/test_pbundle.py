@@ -333,8 +333,7 @@ def loop_sweep(n, pullback, j_max):
 class TestClosedFormMatchesLoop:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_line_bundles(self, n):
-        # every (j, k) with |j|, |k| <= 30: at n = 5 and k = -30 that still
-        # puts runs longer than 2n + 1 on both sides of the first-row range.
+        # every (j, k) with |j|, |k| <= 30, past j = 2n on both branches.
         # The flipped bundle of O(k) is O(-k), so one loop per k serves the
         # first branch of k and the Serre branch of -k.
         ahead = {k: loop_tables(HomogeneousBundle((line_bundle(n, k),)), 30)
@@ -368,12 +367,10 @@ class TestClosedFormMatchesLoop:
         )),
         st.integers(-90, 90),
     )
-    # first-row ranges with runs longer than 2n on both sides, both branches
+    # j far past 2n, in both branches
     @example((3, [2, 0, 0], 40), 60)
     @example((2, [5, -5], 33), -88)
-    # runs of two values, the shortest that is summed in closed form, next to
-    # runs of one, which are evaluated at every a, and of three: a = 0, 1..2
-    # and 3..5, and a = 0..1, 2..4 and 6..7
+    # degrees that fall from step to step, and a fixed row met at a = 6
     @example((2, [-2, -3], 1), 5)
     @example((3, [-2, -3, -3], 4), 7)
     @settings(max_examples=60, deadline=None)
@@ -385,23 +382,20 @@ class TestClosedFormMatchesLoop:
 
 
 class TestHugeTwists:
-    # A line bundle has one Pieri summand per a.  For lam = 0 the lower-row
-    # range holds n - 3 values of a and the first-row range none, but both
-    # cut 0..j.  Every lower row of beta is fixed, so each of those n - 3
-    # steps meets one and is skipped; each of the three runs is summed from
-    # two Bott evaluations (one for the run from a = 0), whatever its
-    # length, and nothing reaches Bott's cache.
+    # A line bundle takes the three binomial ranges of the module docstring,
+    # whatever j and k are, and nothing reaches Pieri, Bott or Weyl code.
+    # Step a of its pushforward is one Pieri summand, which Bott evaluates.
     @pytest.mark.parametrize("j", [10**9, 10**100])
     @pytest.mark.parametrize("k", [0, 7, -10**9])
     def test_step_is_one_pieri_term(self, j, k):
         n = 3
-        lb = line_bundle(n, k)
-        top, below = (cohomology_with_pullback_twist(m, lb) for m in (j, j - 1))
-        step = cohomology_sum(tensor_with_sym(lb, j))
+        v = ModelVariety(n)
+        top, below = (cohomology_X(XLineBundle(v, m, k)) for m in (j, j - 1))
+        step = cohomology_sum(tensor_with_sym(line_bundle(n, k), j))
         for deg in range(2 * n + 1):
             assert top.get(deg) - below.get(deg) == step.get(deg), deg
         assert top.entries
-        serre = cohomology_with_pullback_twist(-n - 1 - j, line_bundle(n, -k))
+        serre = cohomology_X(XLineBundle(v, -n - 1 - j, -k))
         assert serre == top.reflect(2 * n)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
@@ -414,37 +408,13 @@ class TestHugeTwists:
 
         monkeypatch.setattr(bwb, "weyl_dim", counting)
         bott_cohomology.cache_clear()
+        pbundle._cohomology_coords.cache_clear()
         j, k = 10**100, -10**50
-        table = cohomology_with_pullback_twist(j, line_bundle(n, k))
-        assert len(calls) <= 2 * 3, len(calls)
+        table = cohomology_X(XLineBundle(ModelVariety(n), j, k))
+        assert calls == []
         assert bott_cohomology.cache_info().currsize == 0
         assert sorted(table.dims()) == [0, n - 1, n]
         assert table.euler() == binom_poly(n + j, n) * binom_poly(j + k + n, n)
-
-
-class TestRunsSitInOneDegree:
-    def test_every_step_of_a_run(self):
-        # _critical_ranges' argument, checked summand by summand on weights
-        # whose lam has two or more runs of equal entries, where degrees are
-        # not monotone in a across Pieri steps; _run_degree names the degree
-        # at both ends of each run
-        runs = 0
-        for n in range(2, 5):
-            for lam in combinations_with_replacement(range(2, -3, -1), n):
-                if lam[0] == lam[-1]:
-                    continue
-                for t in range(-8, 15):
-                    w = LeviWeight(n, lam, t)
-                    for first, last, run in pbundle._pieces(w, 16):
-                        if not run or last <= first:
-                            continue
-                        degrees = {sort[0] for a in range(first, last + 1)
-                                   for sort in map(bott_sort, tensor_with_sym(w, a).summands)
-                                   if sort}
-                        ends = {pbundle._run_degree(w, first), pbundle._run_degree(w, last)}
-                        assert degrees <= ends and len(ends) == 1, (w, first, last, degrees)
-                        runs += 1
-        assert runs == 4099
 
 
 class TestFixedRowsCarryNothing:
@@ -470,33 +440,6 @@ class TestFixedRowsCarryNothing:
                             assert bott_sort(s) is None, (w, a, s)
                         steps += 1
         assert steps == 4123
-
-
-class TestRunDegreeCheck:
-    def test_run_across_a_degree_change_raises(self, monkeypatch):
-        # critical ranges past j leave one run over a = 0..j; O(-20) at a = 0
-        # sits in degree n and the summand at a = j in degree 0 (j = 100) or
-        # n - 1 (j = 10).  At j = 10 the sum has the sign (-1)^n, so only the
-        # comparison of the run's two ends catches it
-        monkeypatch.setattr(pbundle, "_critical_ranges", lambda w: [(10**6, 10**6)] * 2)
-        for j in (100, 10):
-            with pytest.raises(ArithmeticError):
-                cohomology_with_pullback_twist(j, line_bundle(3, -20))
-
-    def test_run_without_a_positive_dimension_raises(self, monkeypatch):
-        # a run's ends call Bott's uncached body, whose positivity check
-        # refuses a dominant weight of Weyl dimension 0
-        monkeypatch.setattr(bwb, "weyl_dim", lambda mu: 0)
-        with pytest.raises(ArithmeticError, match="not positive"):
-            cohomology_with_pullback_twist(100, line_bundle(3, -20))
-
-    def test_run_degree_off_by_one_raises(self, monkeypatch):
-        # negative control: a degree one off at both ends passes the end
-        # comparison, so the sign of the nonzero sum must catch it
-        run_degree = pbundle._run_degree
-        monkeypatch.setattr(pbundle, "_run_degree", lambda w, a: run_degree(w, a) + 1)
-        with pytest.raises(ArithmeticError, match=r"h\^(\d+) at the start, h\^\1 at the end"):
-            cohomology_with_pullback_twist(100, line_bundle(3, -20))
 
 
 class TestPrefixPath:
@@ -527,7 +470,7 @@ class TestPrefixPath:
         def engine(*args):
             raise AssertionError("a line bundle reached the Pieri, Bott or Weyl code")
 
-        for name in ("tensor_with_sym", "cohomology_sum", "_bott"):
+        for name in ("tensor_with_sym", "cohomology_sum"):
             monkeypatch.setattr(pbundle, name, engine)
         for name in ("bott_sort", "weyl_dim"):
             monkeypatch.setattr(bwb, name, engine)
@@ -566,9 +509,10 @@ class TestPrefixPath:
             pbundle._cohomology_coords.cache_clear()
 
 
-class TestLineBundlesMatchTheRuns:
+class TestLineBundlesMatchDirectEvaluation:
     # The generic path takes a line bundle with j > 2n, and its Serre partner,
-    # through the runs of _pieces: no code shared with the three ranges.
+    # through a Pieri decomposition and a Bott evaluation at each step: no
+    # code shared with the three ranges.
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_past_the_loop_box(self, n):
         degrees = {0, n - 1, n, n + 1, 2 * n}
