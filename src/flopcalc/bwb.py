@@ -38,7 +38,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 
@@ -74,20 +73,20 @@ def shorten(text, show=str):
 
 
 def read_int(token, invalid, too_long="an integer"):
-    """``int(token)``, else a ValueError saying ``invalid``.  The one decimal
-    literal ``int`` refuses, one past Python's int-to-str digit limit, is
-    instead ``too_long`` "of N characters, too long to read".
+    """The int of ``[+-]`` and ASCII digits amid whitespace, else a ValueError
+    saying ``invalid``, so ``1_0`` and non-ASCII digits are refused; past the
+    int-to-str digit limit, ``too_long`` "of N characters, too long to read".
 
-    >>> read_int("1,0", "not an integer")
+    >>> read_int("1_0", "not an integer")
     Traceback (most recent call last):
     ValueError: not an integer
     """
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", token):
+        raise ValueError(invalid)
     try:
         return int(token)
     except ValueError:
-        if re.fullmatch(r"\s*[+-]?\d+\s*", token):
-            invalid = f"{too_long} of {len(token)} characters, too long to read"
-        raise ValueError(invalid) from None
+        raise ValueError(f"{too_long} of {len(token)} characters, too long to read") from None
 
 
 def parse_weight(text):
@@ -163,21 +162,19 @@ EMPTY_TABLE = CohomologyTable(())
 
 
 def weyl_dim(mu):
-    """Dimension of the GL(len(mu)) representation with highest weight mu.
+    """Dimension of the GL(len(mu)) representation with dominant highest
+    weight mu; a mu that rises anywhere is a ValueError.  Bott's sort of a
+    weight plus rho into a dominant mu is ``bott_sort``'s, not this one's.
 
     Weyl's product of (mu_i - mu_j + j - i)/(j - i) over i < j, taken block
     by block: pairs inside a run of equal entries give 1, and for runs of
     values v > w at [a, b) and [c, d), with e = v - w, the pairs of index i
     multiply to C(e + d - 1 - i, e) / C(e + c - 1 - i, e), taken over the
     shorter run.  Numerators and denominators are integer products with one
-    exact division.  A non-dominant mu gets the same product: mu + rho
-    either collides (0) or sorts to a dominant weight, whose dimension is
-    signed by the parity of the sort.
+    exact division.
 
     >>> weyl_dim((1, 0, -1))   # adjoint representation of GL(3)
     8
-    >>> weyl_dim((0, 2))       # not dominant: -1
-    -1
     """
     m = len(mu)
     blocks, start = [], 0
@@ -185,22 +182,14 @@ def weyl_dim(mu):
         if mu[i] < mu[i - 1]:
             blocks.append((start, i))
             start = i
-        elif mu[i] > mu[i - 1]:   # not dominant: sort mu + rho
-            shifted = [v + m - 1 - k for k, v in enumerate(mu)]
-            if len(set(shifted)) < m:
-                return 0
-            sign = (-1) ** sum(x < y for x, y in combinations(shifted, 2))
-            shifted.sort(reverse=True)
-            return sign * weyl_dim(tuple(x - m + 1 + k for k, x in enumerate(shifted)))
+        elif mu[i] > mu[i - 1]:
+            raise ValueError(f"weight {mu} is not dominant: entry {i} rises")
     blocks.append((start, m))
     num = den = 1
     for x, (a, b) in enumerate(blocks, 1):
         for c, d in blocks[x:]:
             e = mu[a] - mu[c]
-            if b - a == d - c == 1:   # two single entries: their one pair factor
-                num *= e + c - a
-                den *= c - a
-            elif b - a <= d - c:
+            if b - a <= d - c:
                 for i in range(a, b):
                     num *= comb(e + d - 1 - i, e)
                     den *= comb(e + c - 1 - i, e)

@@ -408,6 +408,30 @@ def test_overlong_input_is_not_echoed(capsys, argv):
     assert "... (43" in err
 
 
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["cohomology", "--n", "3", "--j", "1_0", "--k", "0"], None, "invalid int value: '1_0'"),
+        (["cohomology", "--n", "\uff13", "--j", "1", "--k", "0"], None, "invalid int value"),
+        (["cohomology", "--n", "\u0663", "--j", "1", "--k", "0"], None, "invalid int value"),
+        (["bott", "--n", "2", "--weight", "1_0,0|0"], None, "'1_0,0|0' has a non-integer token"),
+        (["verify", "lemma-1-3", "--n", "2"], "max_n = 2_0\n", "'2_0' is not an integer"),
+    ],
+    ids=["underscore", "full-width", "arabic-indic", "weight-underscore", "config-underscore"],
+)
+def test_only_ascii_decimal_literals_are_read(capsys, tmp_path, argv, config, message):
+    # int() also reads "1_0" as 10 and non-ASCII digits such as "\uff13" as 3
+    if config is not None:
+        cfg = tmp_path / "flopcalc.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert message in err
+
+
 def test_short_invalid_choice_keeps_the_argparse_message(capsys):
     code, out, err = run(capsys, "functor", "xyz", "--n", "2", "--j", "0", "--k", "0")
     assert code == 2
