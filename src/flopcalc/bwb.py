@@ -42,11 +42,13 @@ from math import comb
 
 
 class LeviWeight(namedtuple("LeviWeight", "n lam t")):
-    """Weight data (lam on Q, twist t) of an irreducible bundle on P^n."""
+    """Weight data (lam on Q, twist t) of an irreducible bundle on P^n;
+    ``lam`` is kept as a tuple."""
 
     __slots__ = ()
 
     def __new__(cls, n, lam, t):
+        lam = tuple(lam)
         if n < 1:
             raise ValueError(f"ambient P^n needs n >= 1, got n={n}")
         if len(lam) != n:

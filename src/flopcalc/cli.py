@@ -2,24 +2,19 @@
 
 Subcommands: bott, cohomology, functor, flop, koszul, ext, verify.  Each
 returns a Report of its data, and ``render`` writes it once, as JSON
-(--json), text, or for verify Markdown (--markdown; other subcommands write
-text), to stdout or to verify's --out file.  JSON output is schema-stable:
-no timestamps, exact decimal integers, keys sorted as strings (degree "10"
-before "2").  ``ext ideal-self --trace`` writes its chase lines first, also
-before the JSON line.  Exit codes: 0 success / all checks pass, 1 any FAIL,
-2 malformed input (with a one-line diagnostic naming the offending token),
-3 any UNDERDETERMINED without a FAIL.
-
-Defaults may come from a config file of key=value lines (keys: max_n,
-format) named by --config or the FLOPCALC_CONFIG environment variable;
-explicit flags win over the file.
+(--json), text, or for verify Markdown (--markdown), to stdout or to
+verify's --out file.  JSON output is schema-stable: no timestamps, exact
+decimal integers, keys sorted as strings (degree "10" before "2").
+``ext ideal-self --trace`` writes its chase lines first, also before the
+JSON line.  Exit codes: 0 success / all checks pass, 1 any FAIL, 2
+malformed input (with a one-line diagnostic naming the offending token), 3
+any UNDERDETERMINED without a FAIL.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter, namedtuple
 from functools import lru_cache
@@ -31,56 +26,6 @@ from .pbundle import ModelVariety, Side, XLineBundle, cohomology_X
 
 class UsageError(Exception):
     pass
-
-
-class RunConfig(namedtuple("RunConfig", "max_n output_format")):
-    __slots__ = ()
-
-    def __new__(cls, max_n=4, output_format="text"):
-        if max_n < 2:
-            raise UsageError(f"max_n must be >= 2, got {shorten(str(max_n))}")
-        if output_format not in ("text", "json", "markdown"):
-            raise UsageError(f"unknown output format {shorten(output_format, repr)}")
-        return tuple.__new__(cls, (max_n, output_format))
-
-
-def load_config_file(path):
-    """Parse key=value lines; unknown keys or bad values are usage errors."""
-    overrides = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {shorten(path, repr)}: {exc.strerror}") from None
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep:
-            raise UsageError(f"config line {shorten(line, repr)} is not key=value")
-        if key == "max_n":
-            invalid = f"config max_n value {shorten(value, repr)} is not an integer"
-            overrides["max_n"] = read_int(value, invalid, "config max_n value")
-        elif key == "format":
-            overrides["output_format"] = value
-        else:
-            raise UsageError(f"unknown config key {shorten(key, repr)}")
-    return overrides
-
-
-def build_config(args):
-    path = getattr(args, "config", None) or os.environ.get("FLOPCALC_CONFIG")
-    overrides = load_config_file(path) if path else {}
-    if getattr(args, "max_n", None) is not None:
-        overrides["max_n"] = args.max_n
-    formats = [f for f in ("json", "markdown") if getattr(args, f, False)]
-    if len(formats) > 1:
-        raise UsageError("--json and --markdown cannot be combined; pick one")
-    if formats:
-        overrides["output_format"] = formats[0]
-    return RunConfig(**overrides)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,13 +53,10 @@ def _int_arg(text):
 def build_parser():
     """The argument parser, built once per process; parse_args keeps no state."""
     parser = _Parser(prog="flopcalc", description=__doc__.splitlines()[0])
-    parser.add_argument("--config", help="config file of key=value lines")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
-        # default=SUPPRESS keeps a pre-subcommand --config from being clobbered
-        p.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     p = sub.add_parser("bott", help="cohomology table of a weight on P^n")
     p.add_argument("--n", type=_int_arg, required=True)
@@ -182,7 +124,7 @@ def _table(n, table, blame, header, row="h^{} = {}", **extra):
     return Report({"n": n, "dims": table.dims(), **extra}, text, blame=blame)
 
 
-def _cmd_bott(args, config):
+def _cmd_bott(args):
     weight = parse_weight(args.weight)
     if weight.n != args.n:
         raise UsageError(f"--weight {shorten(args.weight, repr)} has length {weight.n}, "
@@ -191,7 +133,7 @@ def _cmd_bott(args, config):
                   lambda: f"cohomology of {weight.literal()} on P^{args.n}:")
 
 
-def _cmd_cohomology(args, config):
+def _cmd_cohomology(args):
     side = Side.X if args.side == "x" else Side.X_PLUS
     table = cohomology_X(XLineBundle(ModelVariety(args.n, side), args.j, args.k))
     return _table(args.n, table, "--j/--k",
@@ -202,7 +144,7 @@ def _cmd_cohomology(args, config):
 _FUNCTORS = {"phi": flop.apply_phi, "phiprime": flop.apply_phi_prime, "psi": flop.apply_psi}
 
 
-def _cmd_functor(args, config):
+def _cmd_functor(args):
     side = Side.X_PLUS if args.name == "phiprime" else Side.X
     image = _FUNCTORS[args.name](XLineBundle(ModelVariety(args.n, side), args.j, args.k))
     kind, line = (image.kind, image.bundle) if args.name == "phi" else (flop.ImageKind.LINE, image)
@@ -215,7 +157,7 @@ def _cmd_functor(args, config):
     )
 
 
-def _cmd_flop(args, config):
+def _cmd_flop(args):
     pic = flop.phi_pullback(args.n)
     involution = pic.is_involution()
     return Report(
@@ -226,7 +168,7 @@ def _cmd_flop(args, config):
     )
 
 
-def _cmd_koszul(args, config):
+def _cmd_koszul(args):
     res = homalg.koszul_resolution(args.n)
     total = res.alternating_rank_sum()
     terms = [{"p": t.p, "j": t.line_class.j, "theta_wedge": t.theta_wedge.literal(),
@@ -240,7 +182,7 @@ def _cmd_koszul(args, config):
     )
 
 
-def _cmd_ext(args, config):
+def _cmd_ext(args):
     if args.what == "oy-oy":
         if args.trace:
             raise UsageError("--trace only applies to 'ext ideal-self'")
@@ -257,11 +199,13 @@ def _cmd_ext(args, config):
                   trace=trace)
 
 
-def _cmd_verify(args, config):
+def _cmd_verify(args):
+    if args.json and args.markdown:
+        raise UsageError("--json and --markdown cannot be combined; pick one")
     if args.check == "all":
         if args.n is not None:
             raise UsageError("--n does not apply to 'verify all'; use --max-n")
-        results = verify.run_all(config.max_n)
+        results = verify.run_all() if args.max_n is None else verify.run_all(args.max_n)
     elif args.check in verify.ALL_CHECK_IDS:
         if args.max_n is not None:
             raise UsageError(f"--max-n only applies to 'verify all', not to {args.check}")
@@ -308,7 +252,7 @@ def render(report, output_format, out_path):
     try:
         if output_format == "json":
             body = [json.dumps(_jsonable(report.payload), sort_keys=True, separators=(",", ":"))]
-        elif output_format == "markdown" and report.markdown:
+        elif output_format == "markdown":
             body = report.markdown()
         else:
             body = report.text()
@@ -333,9 +277,10 @@ _COMMANDS = {"bott": _cmd_bott, "cohomology": _cmd_cohomology, "functor": _cmd_f
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        config = build_config(args)
-        report = _COMMANDS[args.command](args, config)
-        render(report, config.output_format, getattr(args, "out", None))
+        report = _COMMANDS[args.command](args)
+        markdown = getattr(args, "markdown", False)
+        render(report, "json" if args.json else "markdown" if markdown else "text",
+               getattr(args, "out", None))
     except (UsageError, ValueError) as exc:  # FunctorRangeError is a ValueError
         print(f"flopcalc: error: {exc}", file=sys.stderr)
         return 2

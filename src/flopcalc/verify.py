@@ -15,6 +15,7 @@ import itertools
 from collections import namedtuple
 
 from . import flop, homalg, pbundle
+from .bwb import shorten
 from .pbundle import ModelVariety, Side, XLineBundle
 
 
@@ -308,7 +309,7 @@ def run_all(max_n=4):
     Results are merged deterministically, sorted by (check id, n).
     """
     if max_n < 2:
-        raise ValueError(f"max_n must be >= 2, got {max_n}")
+        raise ValueError(f"max_n must be >= 2, got {shorten(str(max_n))}")
     results = []
     for check_id in SWEPT_CHECKS:
         for n in range(2, max_n + 1):

@@ -61,6 +61,14 @@ class TestLeviWeight:
             LeviWeight(2, (1,), 0)
         assert LeviWeight(4, (2, 2, 0, 0), 1).lam == (2, 2, 0, 0)
 
+    def test_list_weight_is_read_as_a_tuple(self):
+        assert LeviWeight(2, [1, 0], 0) == LeviWeight(2, (1, 0), 0)
+        assert type(LeviWeight(2, [1, 0], 0).lam) is tuple
+        lam = (1, 0)   # an exact tuple is kept as itself, with no copy
+        assert LeviWeight(2, lam, 0).lam is lam
+        with pytest.raises(ValueError, match=r"^weight vector \(0, 1\) is not non-increasing$"):
+            LeviWeight(2, [0, 1], 0)
+
     def test_weight_literal_round_trip(self):
         w = LeviWeight(3, (2, 0, -1), -4)
         assert parse_weight(w.literal()) == w

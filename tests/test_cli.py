@@ -258,10 +258,8 @@ class TestVerifyCommand:
         assert out == ""
         assert "--json" in err and "--markdown" in err and err.count("\n") == 1
 
-    def test_pinned_check_accepts_its_own_n(self, capsys, tmp_path):
-        cfg = tmp_path / "flopcalc.cfg"
-        cfg.write_text("max_n = 5\n")
-        code, out, _ = run(capsys, "verify", "lemma-2-1", "--n", "2", "--config", str(cfg))
+    def test_pinned_check_accepts_its_own_n(self, capsys):
+        code, out, _ = run(capsys, "verify", "lemma-2-1", "--n", "2")
         assert code == 0
         assert out.startswith("lemma-2-1 n=2: PASS")
 
@@ -271,82 +269,34 @@ class TestVerifyCommand:
         assert "lemma-7-7" in err
 
 
-class TestConfigHandling:
-    def test_config_file_via_flag(self, capsys, tmp_path):
-        cfg = tmp_path / "flopcalc.cfg"
-        cfg.write_text("max_n = 2\nformat = json\n")
-        code, out, _ = run(capsys, "verify", "all", "--config", str(cfg))
-        assert code == 0
-        payload = json.loads(out)
-        assert {r["n"] for r in payload} == {2}
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ("-" + "9" * 3000, "got -9999999999999999999... (3001"),
+        pytest.param("9" * 5000, "of 5000 characters, too long to read", marks=needs_digit_limit),
+    ],
+    ids=["small", "digits"],
+)
+def test_overlong_max_n_is_not_echoed(capsys, value, shown):
+    code, out, err = run(capsys, "verify", "all", "--max-n", value)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert shown in err
 
-    def test_config_flag_before_the_subcommand(self, capsys, tmp_path):
-        cfg = tmp_path / "flopcalc.cfg"
-        cfg.write_text("format = json\n")
-        code, out, _ = run(capsys, "--config", str(cfg), "bott", "--n", "2",
-                           "--weight", "0,0|0")
-        assert code == 0
-        assert json.loads(out) == {"n": 2, "dims": {"0": 1}}
 
-    def test_config_file_via_env(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "flopcalc.cfg"
-        cfg.write_text("format = json\n")
-        monkeypatch.setenv("FLOPCALC_CONFIG", str(cfg))
-        code, out, _ = run(capsys, "bott", "--n", "2", "--weight", "0,0|0")
-        assert code == 0
-        assert json.loads(out) == {"n": 2, "dims": {"0": 1}}
-
-    def test_flags_override_file(self, capsys, tmp_path):
-        cfg = tmp_path / "flopcalc.cfg"
-        cfg.write_text("max_n = 4\n")
-        code, out, _ = run(
-            capsys, "verify", "all", "--max-n", "2", "--config", str(cfg), "--json"
-        )
-        assert code == 0
-        assert {r["n"] for r in json.loads(out)} == {2}
-
-    def test_unknown_key_is_usage_error(self, capsys, tmp_path):
-        cfg = tmp_path / "flopcalc.cfg"
-        cfg.write_text("colour = blue\n")
-        code, _, err = run(capsys, "bott", "--n", "2", "--weight", "0,0|0",
-                           "--config", str(cfg))
-        assert code == 2
-        assert "colour" in err
-
-    def test_missing_file_is_usage_error(self, capsys, tmp_path):
-        code, _, err = run(capsys, "bott", "--n", "2", "--weight", "0,0|0",
-                           "--config", str(tmp_path / "absent.cfg"))
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "text, shown",
-        [
-            ("k" * 3000 + " = 1\n", "config key 'kkkkkkkkkkkkkkkkkkkk'... (3000"),
-            ("max_n = " + "x" * 3000 + "\n", "max_n value 'xxxxxxxxxxxxxxxxxxxx'... (3000"),
-            pytest.param("max_n = " + "9" * 5000 + "\n", "max_n value of 5000 characters, too",
-                         marks=needs_digit_limit),
-            ("max_n = -" + "9" * 3000 + "\n", "got -9999999999999999999... (3001"),
-            ("format = " + "j" * 3000 + "\n", "output format 'jjjjjjjjjjjjjjjjjjjj'... (3000"),
-            ("l" * 3000 + "\n", "config line 'llllllllllllllllllll'... (3000"),
-        ],
-        ids=["key", "max_n", "max_n-digits", "max_n-small", "format", "line"],
-    )
-    def test_overlong_config_entry_is_not_echoed(self, capsys, tmp_path, text, shown):
-        cfg = tmp_path / "flopcalc.cfg"
-        cfg.write_text(text)
-        code, out, err = run(capsys, "verify", "all", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and len(err.encode()) < 200
-        assert shown in err
-
-    def test_overlong_config_path_is_not_echoed(self, capsys, tmp_path):
-        path = str(tmp_path / ("p" * 3000))
-        code, out, err = run(capsys, "verify", "all", "--config", path)
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and len(err.encode()) < 200
-        assert f"({len(path)} characters)" in err
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_config_flag_is_refused(capsys, tmp_path, before):
+    # each setting has one way in, its flag: a file that names a valid
+    # format is still no input
+    cfg = tmp_path / "flopcalc.cfg"
+    cfg.write_text("format = json\n")
+    config = ["--config", str(cfg)]
+    argv = config + ["verify", "all"] if before else ["verify", "all"] + config
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
 
 
 class TestOutputStability:
@@ -409,22 +359,17 @@ def test_overlong_input_is_not_echoed(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv,config,message",
+    "argv,message",
     [
-        (["cohomology", "--n", "3", "--j", "1_0", "--k", "0"], None, "invalid int value: '1_0'"),
-        (["cohomology", "--n", "\uff13", "--j", "1", "--k", "0"], None, "invalid int value"),
-        (["cohomology", "--n", "\u0663", "--j", "1", "--k", "0"], None, "invalid int value"),
-        (["bott", "--n", "2", "--weight", "1_0,0|0"], None, "'1_0,0|0' has a non-integer token"),
-        (["verify", "lemma-1-3", "--n", "2"], "max_n = 2_0\n", "'2_0' is not an integer"),
+        (["cohomology", "--n", "3", "--j", "1_0", "--k", "0"], "invalid int value: '1_0'"),
+        (["cohomology", "--n", "\uff13", "--j", "1", "--k", "0"], "invalid int value"),
+        (["cohomology", "--n", "\u0663", "--j", "1", "--k", "0"], "invalid int value"),
+        (["bott", "--n", "2", "--weight", "1_0,0|0"], "'1_0,0|0' has a non-integer token"),
     ],
-    ids=["underscore", "full-width", "arabic-indic", "weight-underscore", "config-underscore"],
+    ids=["underscore", "full-width", "arabic-indic", "weight-underscore"],
 )
-def test_only_ascii_decimal_literals_are_read(capsys, tmp_path, argv, config, message):
+def test_only_ascii_decimal_literals_are_read(capsys, argv, message):
     # int() also reads "1_0" as 10 and non-ASCII digits such as "\uff13" as 3
-    if config is not None:
-        cfg = tmp_path / "flopcalc.cfg"
-        cfg.write_text(config)
-        argv = argv + ["--config", str(cfg)]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -447,18 +392,15 @@ def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
     assert "--out" in err and err.count("\n") == 1
 
 
-def test_shared_parser_keeps_no_state(capsys, tmp_path, monkeypatch):
+def test_shared_parser_keeps_no_state(capsys):
     # the parser is built once per process; a run of calls in one process
     # must print what each call prints in a process of its own
-    monkeypatch.delenv("FLOPCALC_CONFIG", raising=False)
-    cfg = tmp_path / "flopcalc.cfg"
-    cfg.write_text("max_n = 3\nformat = json\n")
     calls = [
         ["cohomology", "--n", "x", "--j", "0", "--k", "0"],
         ["verify", "all", "--n", "3"],
-        ["--config", str(cfg), "verify", "all"],
+        ["verify", "all", "--max-n", "3", "--json"],
         ["verify", "all"],
-        ["verify", "lemma-3-4", "--n", "3", "--config", str(cfg)],
+        ["verify", "lemma-3-4", "--n", "3", "--markdown"],
         ["verify", "lemma-3-4", "--n", "3"],
     ]
     alone = []

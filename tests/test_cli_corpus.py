@@ -24,3 +24,16 @@ def test_replay_matches_recorded_bytes(capsys, case):
     assert captured.out == case["stdout"]
     assert captured.err == case["stderr"]
     assert code == case["exit_code"]
+
+
+def test_replay_ignores_the_environment(capsys, tmp_path, monkeypatch):
+    # each setting comes from argv alone, so a config file named in the
+    # environment changes no byte
+    cfg = tmp_path / "flopcalc.cfg"
+    cfg.write_text("format = json\nmax_n = 3\n")
+    monkeypatch.setenv("FLOPCALC_CONFIG", str(cfg))
+    for case in CORPUS:
+        code = main(list(case["argv"]))
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == (
+            case["stdout"], case["stderr"], case["exit_code"]), case["argv"]

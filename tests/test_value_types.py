@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from flopcalc.bwb import CohomologyTable, HomogeneousBundle, LeviWeight
-from flopcalc.cli import Report, RunConfig, UsageError
+from flopcalc.cli import Report
 from flopcalc.flop import FMImage, ImageKind, PicMap
 from flopcalc.homalg import (
     ChaseSolution,
@@ -83,10 +83,6 @@ CASES = [
      "CheckResult(check_id='lemma-1-3', n=2, status=<Status.PASS: 'PASS'>, evidence={'cases': 3})", [
         (lambda: CheckResult("x", 2, Status.FAIL), ValueError,
          "FAIL results must carry a counterexample"),
-    ]),
-    (RunConfig, (5, "json"), "max_n", "RunConfig(max_n=5, output_format='json')", [
-        (lambda: RunConfig(1), UsageError, "max_n must be >= 2, got 1"),
-        (lambda: RunConfig(4, "xml"), UsageError, "unknown output format 'xml'"),
     ]),
     (Report, ((2, 3), list), "code",
      "Report(payload=(2, 3), text=<class 'list'>, markdown=None, code=0, trace=(), blame='--n')", []),

@@ -176,6 +176,12 @@ class TestIndividualSuites:
         assert result.status is Status.PASS
         assert result.evidence["pairs"] == (n + 1) ** 4
 
+    def test_prop_3_5_verdict_matches_lemma_3_4(self):
+        # psi keeps the Hom tables because neither class family has higher
+        # cohomology (section 3): the two suites agree at every n
+        for n in range(2, 17):
+            assert verify_prop_3_5(n).status is verify_lemma_3_4(n).status, n
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_prop_3_5_negative_control_affine(self, monkeypatch, n):
         def shear(lb):  # (j, k) -> (j + k, k): affine, but not psi
