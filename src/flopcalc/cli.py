@@ -274,9 +274,26 @@ _COMMANDS = {"bott": _cmd_bott, "cohomology": _cmd_cohomology, "functor": _cmd_f
              "flop": _cmd_flop, "koszul": _cmd_koszul, "ext": _cmd_ext, "verify": _cmd_verify}
 
 
+# the top-level parser's only option, and the prefixes of --help argparse also takes
+_HELP = {"-h", "--h", "--he", "--hel", "--help"}
+
+
+def _parse_args(argv):
+    """The parsed arguments.  An unknown option before the subcommand is
+    named here: argparse would pass over it and read the token after it as
+    the subcommand, and so blame that token instead."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for token in argv:
+        if token in _COMMANDS:
+            break
+        if token.startswith("-") and token not in _HELP:
+            raise UsageError(f"unrecognized arguments: {shorten(token)}")
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         report = _COMMANDS[args.command](args)
         markdown = getattr(args, "markdown", False)
         render(report, "json" if args.json else "markdown" if markdown else "text",

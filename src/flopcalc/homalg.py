@@ -1,7 +1,9 @@
 """Exact-sequence dimension chasing and Ext computations against the ideal.
 
-The proof engine is ``chase_solve``: given the terms of an exact complex
-with some dimensions unknown, it applies two inference rules,
+The proof engine is ``chase_solve``: given an exact complex with some
+dimensions unknown, held as a ``ChaseSystem`` of two columns (the terms'
+labels and their dimensions, None for an unknown), it applies two
+inference rules,
 
   (a) a term whose two neighbours are zero is itself zero;
   (b) in a maximal segment strictly between two zero terms, a single
@@ -29,14 +31,16 @@ On top of the solver this module assembles:
 
 Every long exact sequence chased here, for h^i(I), Ext^i(O_Y, I),
 Ext^i(I, I) and Ext^i(E_p, I), comes from the one builder
-``long_exact_system``.  Each reference system is built once and solved once
-per call: the solved h^i(I) and Ext^i(O_Y, I) systems fill in the
-Ext^i(I, I) system.
+``long_exact_system``, which writes the two columns directly; no
+per-term object is made unless a caller asks for ``ChaseSystem.terms``, a
+view derived from the columns.  Each reference system is built once and
+solved once per call: the solved h^i(I) and Ext^i(O_Y, I) systems fill in
+the Ext^i(I, I) system.
 
 >>> sys = long_exact_system("doc", 1, (("A^{i}", None), ("B^{i}", {0: 5}),
 ...                                    ("C^{i}", {})))
->>> [t.label for t in sys.terms][:5], chase_solve(sys).values["A^0"]
-(['start', 'A^0', 'B^0', 'C^0', 'A^1'], 5)
+>>> sys.labels[:5], sys.dims[:5], chase_solve(sys).values["A^0"]
+(('start', 'A^0', 'B^0', 'C^0', 'A^1'), (0, None, 5, 0, None), 5)
 """
 
 from __future__ import annotations
@@ -79,16 +83,29 @@ class ChaseTerm(namedtuple("ChaseTerm", "label dim")):
     __slots__ = ()
 
 
-class ChaseSystem(namedtuple("ChaseSystem", "name terms")):
-    """An ordered exact complex; zero objects are terms with dim 0."""
+class ChaseSystem(namedtuple("ChaseSystem", "name labels dims")):
+    """An ordered exact complex, held as two columns of equal length:
+    ``labels`` and ``dims``, a dim of None marking an unknown dimension and a
+    zero object being a term with dim 0.  ``terms`` pairs the columns into
+    ChaseTerms, a derived view; the repr and the pickle show the system as
+    ``name`` and ``terms``, as ``ChaseSystem(name, terms)`` builds it."""
 
     __slots__ = ()
 
     def __new__(cls, name, terms):
         labels, dims = zip(*terms) if terms else ((), ())
+        return cls.from_columns(name, labels, dims)
+
+    @classmethod
+    def from_columns(cls, name, labels, dims):
+        """The system with these columns, after the checks every system passes."""
+        labels, dims = tuple(labels), tuple(dims)
+        if len(labels) != len(dims):
+            raise ValueError(f"system {name!r} has {len(labels)} labels and {len(dims)} dims")
         # filter(None, ...) drops the zeros and unknowns, which cannot be negative
         if min(filter(None, dims), default=0) < 0:
-            label, dim = next(t for t in terms if t.dim is not None and t.dim < 0)
+            label, dim = next((label, dim) for label, dim in zip(labels, dims)
+                              if dim is not None and dim < 0)
             raise ValueError(f"term {label} has negative dimension {dim}")
         if len(set(labels)) != len(labels):
             seen = set()
@@ -96,7 +113,18 @@ class ChaseSystem(namedtuple("ChaseSystem", "name terms")):
                 if label in seen:
                     raise ValueError(f"duplicate label {label!r} in system {name!r}")
                 seen.add(label)
-        return tuple.__new__(cls, (name, terms))
+        return tuple.__new__(cls, (name, labels, dims))
+
+    @property
+    def terms(self):
+        # tuple.__new__ makes each ChaseTerm in C, skipping the NamedTuple's Python __new__
+        return tuple(map(partial(tuple.__new__, ChaseTerm), zip(self.labels, self.dims)))
+
+    def __repr__(self):
+        return f"ChaseSystem(name={self.name!r}, terms={self.terms!r})"
+
+    def __getnewargs__(self):
+        return self.name, self.terms
 
 
 class ChaseSolution(namedtuple("ChaseSolution", "system values unsolved trace")):
@@ -146,7 +174,7 @@ def chase_solve(system):
     parts.  The trace lists rule (a) steps, then rule (b) steps, each left
     to right; the system read right to left reaches the same fixpoint.
     """
-    labels, dims = map(list, zip(*system.terms)) if system.terms else ([], [])
+    labels, dims = list(system.labels), list(system.dims)
     trace, open_segs, splits = [], [], []
     for lo, hi in _segments(dims):
         if hi - lo == 1 and dims[lo] is None:
@@ -185,13 +213,12 @@ def long_exact_system(name, n, columns):
     ``{i}`` field, replaced by the degree, and no other brace; any other
     format raises ValueError.  ``dims`` maps degree to dimension, an absent
     degree meaning 0, or is None for a column of unknowns; a degree outside
-    0..2n raises ValueError.  The system is built column by column: each
-    column's labels and dims are made once, then the columns are interleaved
-    degree by degree.
+    0..2n raises ValueError.  Each column's labels and dims are made once,
+    then interleaved degree by degree into the system's two columns.
     """
     degrees = range(2 * n + 1)
     numerals = [str(i) for i in degrees]
-    built = []
+    label_columns, dim_columns = [], []
     for fmt, dims in columns:
         head, field, tail = fmt.partition("{i}")
         if not field or "{" in head + tail or "}" in head + tail:
@@ -199,18 +226,23 @@ def long_exact_system(name, n, columns):
                 f"label format {shorten(fmt, repr)} must hold exactly one {{i}} field "
                 f"and no other brace"
             )
-        if dims and not dims.keys() <= set(degrees):
-            degree = next(d for d in dims if d not in degrees)
-            raise ValueError(
-                f"column {shorten(fmt, repr)} has a dimension at degree {degree}, "
-                f"outside 0..{2 * n}"
-            )
-        labels = [head + numeral + tail for numeral in numerals]
-        values = [None] * len(degrees) if dims is None else [dims.get(i, 0) for i in degrees]
-        built.append(zip(labels, values))
-    # tuple.__new__ makes each ChaseTerm in C, skipping the NamedTuple's Python __new__
-    body = map(partial(tuple.__new__, ChaseTerm), chain.from_iterable(zip(*built)))
-    return ChaseSystem(name, (ChaseTerm("start", 0), *body, ChaseTerm("end", 0)))
+        label_columns.append([head + numeral + tail for numeral in numerals])
+        if dims is None:
+            dim_columns.append(repeat(None, len(degrees)))
+            continue
+        values = [0] * len(degrees)
+        for degree, dim in dims.items():
+            # checked before the write: values[-1] would land on degree 2n
+            if degree not in degrees:
+                raise ValueError(
+                    f"column {shorten(fmt, repr)} has a dimension at degree {degree}, "
+                    f"outside 0..{2 * n}"
+                )
+            values[degree] = dim
+        dim_columns.append(values)
+    labels = ("start", *chain.from_iterable(zip(*label_columns)), "end")
+    dims = (0, *chain.from_iterable(zip(*dim_columns)), 0)
+    return ChaseSystem.from_columns(name, labels, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +412,8 @@ def _ideal_self_chase(n):
 
 def reference_chase_systems(n):
     """Every system this module assembles for its own computations, unsolved;
-    solving the two Ext^i(I, I) feeders again costs ~3.5 % of a cold build."""
+    solving the two Ext^i(I, I) feeders again costs about 5 % of a cold build
+    (n = 2..24, one fresh process each)."""
     ideal, centre, self_ext = _ideal_self_chase(n)
     return [ideal.system, centre.system, self_ext] + [
         restriction_chase_system(p, n) for p in range(1, n + 1)]

@@ -285,6 +285,23 @@ def test_overlong_max_n_is_not_echoed(capsys, value, shown):
     assert shown in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--foo", "3", "bott", "--n", "2", "--weight", "0,0|0"], "--foo"),
+    (["bott", "--n", "2", "--weight", "0,0|0", "--foo", "3"], "--foo 3"),
+    (["--config", "x", "verify", "all"], "--config"),
+    (["verify", "all", "--config", "x"], "--config x"),
+    (["--foo"], "--foo"),
+    (["-x" + "y" * 60, "bott"], "-xyyyyyyyyyyyyyyyyyy... (62 characters)"),
+], ids=["before", "after", "config-before", "config-after", "alone", "overlong"])
+def test_unknown_option_is_named(capsys, argv, named):
+    # before the subcommand argparse passes over an unknown option and reads
+    # the token after it as the subcommand, blaming that token instead
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"flopcalc: error: unrecognized arguments: {named}\n"
+
+
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
 def test_config_flag_is_refused(capsys, tmp_path, before):
     # each setting has one way in, its flag: a file that names a valid

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import re
 from math import comb
 from random import Random
@@ -134,6 +135,28 @@ class TestChaseSolve:
     def test_empty_system_constructs(self):
         assert ChaseSystem("empty", ()).terms == ()
         assert chase_solve(ChaseSystem("empty", ())).values == {}
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="^system 'short' has 2 labels and 1 dims$"):
+            ChaseSystem.from_columns("short", ("A", "B"), (0,))
+
+    def test_columns_run_the_term_checks(self):
+        with pytest.raises(ValueError, match="^term B has negative dimension -1$"):
+            ChaseSystem.from_columns("neg", ["A", "B"], [0, -1])
+        with pytest.raises(ValueError, match="^duplicate label 'A' in system 'dup'$"):
+            ChaseSystem.from_columns("dup", ["A", "A"], [0, 1])
+        built = ChaseSystem.from_columns("lists", ["A", "B"], [0, None])
+        assert built == ChaseSystem("lists", (ChaseTerm("A", 0), ChaseTerm("B", None)))
+
+    def test_sparse_dims_keep_an_unknown_at_its_degree(self):
+        # the Ext^i(I, I) feeders pass dicts whose values may be None
+        sysm = homalg.long_exact_system("sparse", 2, (("A^{i}", {1: None, 3: 2}), ("B^{i}", None)))
+        assert sysm.labels == ("start", "A^0", "B^0", "A^1", "B^1", "A^2", "B^2", "A^3", "B^3",
+                               "A^4", "B^4", "end")
+        assert sysm.dims == (0, 0, None, None, None, 0, None, 2, None, 0, None, 0)
+        # a column of unknowns alone still spans the 2n + 1 degrees
+        sysm = homalg.long_exact_system("open", 1, (("A^{i}", None),))
+        assert sysm.dims == (0, None, None, None, 0)
 
     def test_long_exact_system_terms_are_chase_terms(self):
         sysm = homalg.long_exact_system("lt", 2, (("A^{i}", None), ("B^{i}", {1: 3})))
@@ -307,6 +330,21 @@ class TestChaseRegression:
             for solved in (sysm, mirrored(sysm)):
                 h.update(repr(self.outcome(solved)).encode())
         assert h.hexdigest() == self.DIGEST
+
+
+class TestColumnsKeepTheTermsForm:
+    """A system is held as two columns; the ChaseTerms of its terms view
+    rebuild an equal system, which pickles and solves alike."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_reference_systems_and_mirrors(self, n):
+        for built in reference_chase_systems(n):
+            for sysm in (built, mirrored(built)):
+                rebuilt = ChaseSystem(sysm.name, sysm.terms)
+                assert rebuilt == sysm
+                assert pickle.loads(pickle.dumps(sysm)) == sysm
+                assert all(type(t) is ChaseTerm for t in sysm.terms)
+                assert chase_solve(rebuilt) == chase_solve(sysm)
 
 
 class TestLongExactSystemRegression:
