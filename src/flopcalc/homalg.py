@@ -87,18 +87,13 @@ class ChaseSystem(namedtuple("ChaseSystem", "name labels dims")):
     """An ordered exact complex, held as two columns of equal length:
     ``labels`` and ``dims``, a dim of None marking an unknown dimension and a
     zero object being a term with dim 0.  ``terms`` pairs the columns into
-    ChaseTerms, a derived view; the repr and the pickle show the system as
-    ``name`` and ``terms``, as ``ChaseSystem(name, terms)`` builds it."""
+    ChaseTerms, a derived view.  (The public contract changed here: a system
+    used to be built, shown and pickled as ``ChaseSystem(name, terms)``; its
+    constructor, repr and pickle now take the columns.)"""
 
     __slots__ = ()
 
-    def __new__(cls, name, terms):
-        labels, dims = zip(*terms) if terms else ((), ())
-        return cls.from_columns(name, labels, dims)
-
-    @classmethod
-    def from_columns(cls, name, labels, dims):
-        """The system with these columns, after the checks every system passes."""
+    def __new__(cls, name, labels, dims):
         labels, dims = tuple(labels), tuple(dims)
         if len(labels) != len(dims):
             raise ValueError(f"system {name!r} has {len(labels)} labels and {len(dims)} dims")
@@ -119,12 +114,6 @@ class ChaseSystem(namedtuple("ChaseSystem", "name labels dims")):
     def terms(self):
         # tuple.__new__ makes each ChaseTerm in C, skipping the NamedTuple's Python __new__
         return tuple(map(partial(tuple.__new__, ChaseTerm), zip(self.labels, self.dims)))
-
-    def __repr__(self):
-        return f"ChaseSystem(name={self.name!r}, terms={self.terms!r})"
-
-    def __getnewargs__(self):
-        return self.name, self.terms
 
 
 class ChaseSolution(namedtuple("ChaseSolution", "system values unsolved trace")):
@@ -242,7 +231,7 @@ def long_exact_system(name, n, columns):
         dim_columns.append(values)
     labels = ("start", *chain.from_iterable(zip(*label_columns)), "end")
     dims = (0, *chain.from_iterable(zip(*dim_columns)), 0)
-    return ChaseSystem.from_columns(name, labels, dims)
+    return ChaseSystem(name, labels, dims)
 
 
 # ---------------------------------------------------------------------------

@@ -186,15 +186,14 @@ def test_criterion_9_solver_honesty():
     with Budget("9 (solver)", 1.0):
         for sysm in reference_chase_systems(2):
             forward = chase_solve(sysm)
-            backward = chase_solve(ChaseSystem(sysm.name, tuple(reversed(sysm.terms))))
+            backward = chase_solve(ChaseSystem(sysm.name, sysm.labels[::-1], sysm.dims[::-1]))
             assert forward.values == backward.values
             assert set(forward.unsolved) == set(backward.unsolved)
 
         system = ideal_cohomology_system(2)
-        perturbed = ChaseSystem(system.name, tuple(
-            t._replace(dim=1) if t.label == "h^4(O_Y)" else t for t in system.terms
-        ))
+        perturbed = ChaseSystem(system.name, system.labels, [
+            1 if label == "h^4(O_Y)" else dim for label, dim in zip(system.labels, system.dims)])
         with pytest.raises(ChaseInconsistencyError):
             chase_solve(perturbed)
         with pytest.raises(ChaseInconsistencyError):
-            chase_solve(ChaseSystem(perturbed.name, tuple(reversed(perturbed.terms))))
+            chase_solve(ChaseSystem(perturbed.name, perturbed.labels[::-1], perturbed.dims[::-1]))

@@ -32,15 +32,12 @@ from flopcalc.homalg import (
 
 
 def system(*dims, name="test"):
-    terms = tuple(
-        ChaseTerm(f"T{i}", d) for i, d in enumerate(dims)
-    )
-    return ChaseSystem(name, terms)
+    return ChaseSystem(name, [f"T{i}" for i in range(len(dims))], dims)
 
 
 def mirrored(sysm):
     """The same exact complex read right to left."""
-    return ChaseSystem(sysm.name, tuple(reversed(sysm.terms)))
+    return ChaseSystem(sysm.name, sysm.labels[::-1], sysm.dims[::-1])
 
 
 class TestChaseSolve:
@@ -116,37 +113,36 @@ class TestChaseSolve:
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
-            ChaseSystem("dup", (ChaseTerm("A", 0), ChaseTerm("A", 1)))
+            ChaseSystem("dup", ("A", "A"), (0, 1))
 
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError, match="negative dimension -1"):
-            ChaseSystem("neg", (ChaseTerm("A", -1),))
+            ChaseSystem("neg", ("A",), (-1,))
 
     def test_negative_dimension_reported_before_duplicate_labels(self):
-        terms = (ChaseTerm("A", 0), ChaseTerm("A", 1), ChaseTerm("B", -2))
         with pytest.raises(ValueError, match="^term B has negative dimension -2$"):
-            ChaseSystem("both", terms)
+            ChaseSystem("both", ("A", "A", "B"), (0, 1, -2))
 
     def test_first_negative_term_named(self):
-        terms = (ChaseTerm("A", None), ChaseTerm("B", -1), ChaseTerm("C", -5))
         with pytest.raises(ValueError, match="^term B has negative dimension -1$"):
-            ChaseSystem("two", terms)
+            ChaseSystem("two", ("A", "B", "C"), (None, -1, -5))
 
     def test_empty_system_constructs(self):
-        assert ChaseSystem("empty", ()).terms == ()
-        assert chase_solve(ChaseSystem("empty", ())).values == {}
+        assert ChaseSystem("empty", (), ()).terms == ()
+        assert chase_solve(ChaseSystem("empty", (), ())).values == {}
 
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ValueError, match="^system 'short' has 2 labels and 1 dims$"):
-            ChaseSystem.from_columns("short", ("A", "B"), (0,))
+            ChaseSystem("short", ("A", "B"), (0,))
 
     def test_columns_run_the_term_checks(self):
         with pytest.raises(ValueError, match="^term B has negative dimension -1$"):
-            ChaseSystem.from_columns("neg", ["A", "B"], [0, -1])
+            ChaseSystem("neg", ["A", "B"], [0, -1])
         with pytest.raises(ValueError, match="^duplicate label 'A' in system 'dup'$"):
-            ChaseSystem.from_columns("dup", ["A", "A"], [0, 1])
-        built = ChaseSystem.from_columns("lists", ["A", "B"], [0, None])
-        assert built == ChaseSystem("lists", (ChaseTerm("A", 0), ChaseTerm("B", None)))
+            ChaseSystem("dup", ["A", "A"], [0, 1])
+        built = ChaseSystem("lists", ["A", "B"], [0, None])
+        assert built == ChaseSystem("lists", ("A", "B"), (0, None))
+        assert type(built.labels) is tuple and type(built.dims) is tuple
 
     def test_sparse_dims_keep_an_unknown_at_its_degree(self):
         # the Ext^i(I, I) feeders pass dicts whose values may be None
@@ -176,11 +172,10 @@ class TestChaseSolve:
 
     def test_duplicate_label_is_named(self):
         with pytest.raises(ValueError, match="^duplicate label 'A' in system 'bad'$"):
-            ChaseSystem("bad", (ChaseTerm("A", 0), ChaseTerm("A", 1)))
+            ChaseSystem("bad", ("A", "A"), (0, 1))
         # the first label met a second time, not the first of the repeated ones
-        terms = (ChaseTerm("A", 0), ChaseTerm("B", 1), ChaseTerm("B", 2), ChaseTerm("A", 3))
         with pytest.raises(ValueError, match="^duplicate label 'B' in system 'twice'$"):
-            ChaseSystem("twice", terms)
+            ChaseSystem("twice", ("A", "B", "B", "A"), (0, 1, 2, 3))
 
     @pytest.mark.parametrize("dims, degree", [({5: 3, -1: 2}, 5), ({0: 1, -1: 2}, -1), ({3: 0}, 3)])
     def test_degree_outside_the_sequence_rejected(self, dims, degree):
@@ -231,7 +226,7 @@ def rounds_oracle(sysm):
     """The solver as rounds to a fixpoint, each round reading the segments
     afresh; kept as the reference the one-scan solver must agree with, and
     sharing none of its logic."""
-    labels, dims = map(list, zip(*sysm.terms)) if sysm.terms else ([], [])
+    labels, dims = list(sysm.labels), list(sysm.dims)
     trace = []
     changed = True
     while changed:
@@ -333,17 +328,22 @@ class TestChaseRegression:
 
 
 class TestColumnsKeepTheTermsForm:
-    """A system is held as two columns; the ChaseTerms of its terms view
-    rebuild an equal system, which pickles and solves alike."""
+    """A system is its name and two columns: they rebuild an equal system,
+    it pickles at every protocol, and its terms view pairs the columns."""
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_reference_systems_and_mirrors(self, n):
         for built in reference_chase_systems(n):
             for sysm in (built, mirrored(built)):
-                rebuilt = ChaseSystem(sysm.name, sysm.terms)
+                rebuilt = ChaseSystem(sysm.name, sysm.labels, sysm.dims)
                 assert rebuilt == sysm
-                assert pickle.loads(pickle.dumps(sysm)) == sysm
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                    assert pickle.loads(pickle.dumps(sysm, protocol)) == sysm
+                pairs = tuple(ChaseTerm(label, dim) for label, dim in zip(sysm.labels, sysm.dims))
+                assert sysm.terms == pairs
                 assert all(type(t) is ChaseTerm for t in sysm.terms)
+                # the count of unknowns a caller reading the terms sees
+                assert sum(t.dim is None for t in sysm.terms) == sysm.dims.count(None)
                 assert chase_solve(rebuilt) == chase_solve(sysm)
 
 
@@ -481,6 +481,19 @@ class TestFirstRouteExt:
                 restriction_chase_system(p, n)
                 assert len(calls) <= 2, (p, n, calls)
 
+    def test_given_columns_of_every_term(self):
+        # the two known columns of each E_p system, read from its columns:
+        # h^*(E_p^v) = {p - 1: 1, p: 1} and h^*(Omega^p|Y) = {p: 1}
+        for n in range(2, 41):
+            degrees = range(2 * n + 1)
+            for p in range(1, n + 1):
+                sysm = restriction_chase_system(p, n)
+                given = dict(zip(sysm.labels, sysm.dims))
+                dual = [given[f"h^{i}(E{p}v)"] for i in degrees]
+                centre = [given[f"h^{i}(Omega^{p}|Y)"] for i in degrees]
+                assert dual == [int(i in (p - 1, p)) for i in degrees], (p, n)
+                assert centre == [int(i == p) for i in degrees], (p, n)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             restriction_chase_system(0, 2)
@@ -510,9 +523,8 @@ class TestIdealSelfExt:
 
     def test_perturbed_input_is_inconsistent(self):
         system = ideal_cohomology_system(2)
-        bad = ChaseSystem(system.name, tuple(
-            t._replace(dim=1) if t.label == "h^4(O_Y)" else t for t in system.terms
-        ))
+        bad = ChaseSystem(system.name, system.labels, [
+            1 if label == "h^4(O_Y)" else dim for label, dim in zip(system.labels, system.dims)])
         with pytest.raises(ChaseInconsistencyError):
             chase_solve(bad)
         with pytest.raises(ChaseInconsistencyError):

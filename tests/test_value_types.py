@@ -24,7 +24,7 @@ from flopcalc.pbundle import ModelVariety, Side, XLineBundle
 from flopcalc.verify import CheckResult, Status
 
 WEIGHT = LeviWeight(2, (1, 0), -1)
-SYSTEM = ChaseSystem("s", (ChaseTerm("A", 0), ChaseTerm("B", None)))
+SYSTEM = ChaseSystem("s", ("A", "B"), (0, None))
 KOSZUL_TERMS = koszul_resolution(2).terms
 X_2 = ModelVariety(2)
 X_PLUS_2 = ModelVariety(2, Side.X_PLUS)
@@ -34,7 +34,7 @@ TERM_2 = (f"KoszulTerm(p=2, line_class=XLineBundle(variety={XPLUS}, j=-2, k=0), 
           f"theta_wedge=LeviWeight(n=2, lam=(1, 1), t=-2), rank=1)")
 TERM_1 = (f"KoszulTerm(p=1, line_class=XLineBundle(variety={XPLUS}, j=-1, k=0), "
           f"theta_wedge=LeviWeight(n=2, lam=(1, 0), t=-1), rank=2)")
-SYSTEM_REPR = "ChaseSystem(name='s', terms=(ChaseTerm(label='A', dim=0), ChaseTerm(label='B', dim=None)))"
+SYSTEM_REPR = "ChaseSystem(name='s', labels=('A', 'B'), dims=(0, None))"
 
 # class, constructor arguments, a field, the repr of cls(*args), and
 # (call, error, message) for each check a constructor makes
@@ -65,8 +65,8 @@ CASES = [
          "ideal-twist images only arise on the flopped side"),
     ]),
     (ChaseTerm, ("A^0", None), "dim", "ChaseTerm(label='A^0', dim=None)", []),
-    (ChaseSystem, ("s", (ChaseTerm("A", 0), ChaseTerm("B", None))), "terms", SYSTEM_REPR, [
-        (lambda: ChaseSystem("neg", (ChaseTerm("A", -1),)), ValueError,
+    (ChaseSystem, ("s", ("A", "B"), (0, None)), "dims", SYSTEM_REPR, [
+        (lambda: ChaseSystem("neg", ("A",), (-1,)), ValueError,
          "term A has negative dimension -1"),
     ]),
     (ChaseSolution, (SYSTEM, {"A": 0, "B": None}, ("B",), ()), "values",
