@@ -41,9 +41,10 @@ The flopped side carries an isomorphic bundle structure, so tables do not
 depend on the ``side`` tag; it exists to keep functor domains honest.  The
 model is only defined for n >= 2 (n = 1 degenerates to an isomorphism).
 
-Pure functions over immutable values.  The only shared state is two
-``lru_cache``s, which only memoise, and both are bounded: the last 2^16 of
-Bott's tables and the last 2^16 tables by (n, j, k).
+Pure functions over immutable values.  The only shared state is three
+``lru_cache``s, which only memoise, and all are bounded: the last 2^16 of
+Bott's tables, the last 2^16 tables by (n, j, k), and the last 2^10
+``ModelVariety`` objects, one per (n, side).
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ class Side(enum.Enum):
     X = "x"
     X_PLUS = "xplus"
 
+    # members are singletons compared by identity; Enum's own hash runs
+    # Python code, and every ModelVariety(n, side) lookup hashes a side
+    __hash__ = object.__hash__
+
 
 def _frozen(self, name, value=None):
     raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -76,17 +81,18 @@ class ModelVariety:
     """X over P^n, or its flop X+.  This class and XLineBundle are
     ``__slots__`` classes, not namedtuples: a namedtuple's ``==`` falls back to
     the plain tuple's reflected compare, so ``ModelVariety(2) != (2, Side.X)``
-    could not hold.  Slot reads are also faster on CPython 3.11: a
-    ``cohomology_X`` hit took 161 ns with slots, 220 ns with namedtuple fields."""
+    could not hold.
+
+    ``_model_variety`` holds one object per (n, side), so the functors share
+    their targets and ``hom_dims`` and ``XLineBundle.__eq__`` meet one object.
+    ``==`` and ``hash`` stay by value: an eviction, or two threads missing
+    at once, still make a second, equal object."""
 
     __slots__ = ("n", "side")
     __setattr__ = __delattr__ = _frozen
 
-    def __init__(self, n, side=Side.X):
-        if n < 2:
-            raise ValueError(f"the model needs n >= 2, got n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "side", side)
+    def __new__(cls, n, side=Side.X):
+        return _model_variety(n, side)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -103,6 +109,18 @@ class ModelVariety:
         return type(self), (self.n, self.side)
 
 
+@lru_cache(maxsize=1 << 10, typed=True)
+def _model_variety(n, side):
+    """The one ModelVariety per (n, side); typed, so ModelVariety(2.0).n is
+    the 2.0 passed, not a cached 2."""
+    if n < 2:
+        raise ValueError(f"the model needs n >= 2, got n={n}")
+    variety = object.__new__(ModelVariety)
+    object.__setattr__(variety, "n", n)
+    object.__setattr__(variety, "side", side)
+    return variety
+
+
 class XLineBundle:
     """The class j*xi + k*h in Pic(X) = Z^2."""
 
@@ -110,9 +128,9 @@ class XLineBundle:
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, variety, j, k):
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "k", k)
+        _set_variety(self, variety)
+        _set_j(self, j)
+        _set_k(self, k)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -142,6 +160,11 @@ class XLineBundle:
         return (self.j, self.k)
 
 
+# the slots' own setters, which __setattr__ = _frozen leaves reachable
+_set_variety, _set_j, _set_k = (XLineBundle.variety.__set__, XLineBundle.j.__set__,
+                                XLineBundle.k.__set__)
+
+
 def canonical_class(variety):
     """omega_X = O_X(-n-1), with no component along h."""
     return XLineBundle(variety, -variety.n - 1, 0)
@@ -150,16 +173,20 @@ def canonical_class(variety):
 @lru_cache(maxsize=1 << 16)
 def _cohomology_coords(n, j, k):
     if j < 0:
+        if j >= -n:
+            return EMPTY_TABLE
         # cached: every partner that run_all(12) reflects is also looked up directly
-        return EMPTY_TABLE if j >= -n else _cohomology_coords(n, -n - 1 - j, -k).reflect(2 * n)
-    dims = {}
+        partner = _cohomology_coords(n, -n - 1 - j, -k).entries
+        return CohomologyTable(tuple((2 * n - d, v) for d, v in reversed(partner)))
+    # degrees 0 < n - 1 < n ascend, and a non-empty range has a positive dim
+    entries = []
     for deg, lo, hi in ((0, -k, j), (n - 1, (-k - n) // 2 + 1, -k - n),
                         (n, 0, -((k + n) // 2) - 1)):
         lo, hi = max(lo, 0), min(hi, j)
         if lo <= hi:
             top, below = (_binom(n, a) * _binom(n, a + k) for a in (hi, lo - 1))
-            dims[deg] = (-1) ** deg * (top - below)
-    return CohomologyTable.from_dict(dims)
+            entries.append((deg, (-1) ** deg * (top - below)))
+    return CohomologyTable(tuple(entries))
 
 
 def _binom(n, m):

@@ -173,23 +173,23 @@ def verify_lemma_3_4(n):
     max(-m, 0) <= a <= j' too.
     """
     ModelVariety(n)  # the model needs n >= 2
-    cases = 0
+    box = range(-n, n + 1)
     checked = set()
-    for l in range(-n, n + 1):
-        for m in range(-n, n + 1):
-            for family, (j, k) in (("direct", (l, m)), ("flopped", (l + m, -m))):
-                cases += 1
-                if (j, k) in checked:
+    for l in box:
+        for m in box:
+            for family, key in (("direct", (l, m)), ("flopped", (l + m, -m))):
+                if key in checked:
                     continue
-                checked.add((j, k))
-                table = pbundle.cohomology_coords(n, j, k)
-                higher = {i: d for i, d in table.entries if i > 0}
-                if higher:
+                checked.add(key)
+                entries = pbundle.cohomology_coords(n, *key).entries
+                # the degrees ascend, so a higher one shows in the last entry
+                if entries and entries[-1][0] > 0:
+                    higher = {i: d for i, d in entries if i > 0}
                     return _fail(
                         "lemma-3-4", n,
                         {"family": family, "l": l, "m": m, "higher": higher},
                     )
-    return CheckResult("lemma-3-4", n, Status.PASS, {"cases": cases})
+    return CheckResult("lemma-3-4", n, Status.PASS, {"cases": 2 * len(box) ** 2})
 
 
 def _witness_pairs(n):
@@ -203,6 +203,18 @@ def _witness_pairs(n):
         for bj in every if aj == 0 else (0,):
             for bk in every if ak == 0 else (0,):
                 yield a, bj * side + bk
+
+
+def _first_pair_of_each_key(points):
+    """Index pairs (a, b) into ``points``, in the order of all pairs, that
+    are the first to show their key (b - a, psi(b) - psi(a))."""
+    seen = set()
+    for ia, ib in itertools.product(range(len(points)), repeat=2):
+        (aj, ak, paj, pak), (bj, bk, pbj, pbk) = points[ia], points[ib]
+        key = (bj - aj, bk - ak, pbj - paj, pbk - pak)
+        if key not in seen:
+            seen.add(key)
+            yield ia, ib
 
 
 def verify_prop_3_5(n):
@@ -235,15 +247,9 @@ def verify_prop_3_5(n):
         pj == j0 + (cj + n) * uj + (ck + n) * vj and pk == k0 + (cj + n) * uk + (ck + n) * vk
         for cj, ck, pj, pk in points
     )
-    pairs = _witness_pairs(n) if affine else itertools.product(range(len(points)), repeat=2)
-    seen = set()
+    # the witness pairs have distinct differences, so no key repeats among them
+    pairs = _witness_pairs(n) if affine else _first_pair_of_each_key(points)
     for ia, ib in pairs:
-        aj, ak, paj, pak = points[ia]
-        bj, bk, pbj, pbk = points[ib]
-        key = (bj - aj, bk - ak, pbj - paj, pbk - pak)
-        if key in seen:
-            continue
-        seen.add(key)
         a, b = omega_prime[ia], omega_prime[ib]
         before = pbundle.hom_dims(a, b)
         after = pbundle.hom_dims(images[ia], images[ib])
@@ -311,8 +317,10 @@ def run_all(max_n=4):
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {shorten(str(max_n))}")
     results = []
-    for check_id in SWEPT_CHECKS:
-        for n in range(2, max_n + 1):
+    # n outside: lemma-3-4's classes at n are prop-3-5's differences at n, so
+    # prop-3-5 finds them in the table cache before they are evicted
+    for n in range(2, max_n + 1):
+        for check_id in SWEPT_CHECKS:
             results.append(run_check(check_id, n))
     for check_id in PINNED_CHECKS:
         results.append(run_check(check_id, 2))

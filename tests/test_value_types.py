@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from flopcalc import pbundle
 from flopcalc.bwb import CohomologyTable, HomogeneousBundle, LeviWeight
 from flopcalc.cli import Report
-from flopcalc.flop import FMImage, ImageKind, PicMap
+from flopcalc.flop import FMImage, ImageKind, PicMap, apply_psi
 from flopcalc.homalg import (
     ChaseSolution,
     ChaseSystem,
@@ -123,6 +124,32 @@ def test_value_type(cls, args, field, shown, rejects):
 def test_varieties_and_line_classes_compare_only_to_their_own_type(value, fields):
     assert type(value).__eq__(value, fields) is NotImplemented
     assert value != fields
+
+
+def test_model_variety_is_one_object_per_n_and_side():
+    assert ModelVariety(3) is ModelVariety(3, Side.X) is ModelVariety(n=3, side=Side.X)
+    assert ModelVariety(3, Side.X_PLUS) is ModelVariety(3, Side.X_PLUS) is not ModelVariety(3)
+    assert pickle.loads(pickle.dumps(X_PLUS_2)) == X_PLUS_2
+    for _ in range(3):
+        with pytest.raises(ValueError, match=r"^the model needs n >= 2, got n=1$"):
+            ModelVariety(1)
+    assert pbundle._model_variety.cache_parameters()["maxsize"] is not None
+    a, b = XLineBundle(ModelVariety(4), -1, 0), XLineBundle(ModelVariety(4), 0, -2)
+    assert apply_psi(a).variety is apply_psi(b).variety
+
+
+def test_model_variety_compares_by_value_past_the_intern_cache():
+    # identity is only a fast path: after an eviction the next call makes a
+    # second object, which must still equal, hash like and subtract with the first
+    first = ModelVariety(5, Side.X_PLUS)
+    pbundle._model_variety.cache_clear()
+    second = ModelVariety(5, Side.X_PLUS)
+    assert second is not first
+    assert second == first and hash(second) == hash(first)
+    assert XLineBundle(first, 1, 2) == XLineBundle(second, 1, 2)
+    assert (XLineBundle(second, 1, 2) - XLineBundle(first, 0, 3)).coords() == (1, -1)
+    hom = pbundle.hom_dims(XLineBundle(first, 0, 0), XLineBundle(second, 1, 0))
+    assert hom == pbundle.cohomology_X(XLineBundle(first, 1, 0))
 
 
 def test_check_result_evidence_defaults_to_a_fresh_dict():
