@@ -21,7 +21,6 @@ from .bwb import (
     form_bundle,
     line_bundle,
     parse_weight,
-    serre_dual,
     structure_sheaf,
     tangent_bundle,
     twist,

@@ -122,15 +122,11 @@ def tangent_bundle(n):
 
 
 class HomogeneousBundle(namedtuple("HomogeneousBundle", "summands")):
-    """Formal direct sum of Levi weights on a common P^n (possibly empty)."""
+    """The Pieri summands ``tensor_with_sym`` returns, a tuple of Levi weights;
+    unchecked.  It stays only while the benchmark's tracer reads ``.summands``
+    (ROADMAP items 1 and 9)."""
 
     __slots__ = ()
-
-    def __new__(cls, summands):
-        ns = {w.n for w in summands}
-        if len(ns) > 1:
-            raise ValueError(f"summands live on different spaces: n in {sorted(ns)}")
-        return tuple.__new__(cls, (summands,))
 
 
 class CohomologyTable(namedtuple("CohomologyTable", "entries")):
@@ -241,10 +237,11 @@ def bott_cohomology(w):
     return CohomologyTable(((below, dim),))
 
 
-def cohomology_sum(bundle):
-    """Degree-wise sum of bott_cohomology over the summands."""
+def cohomology_sum(weights):
+    """Degree-wise sum of bott_cohomology over ``weights``, any iterable of
+    LeviWeights (a generator is read once; an empty one sums to no cohomology)."""
     dims = {}
-    for w in bundle.summands:
+    for w in weights:
         for deg, dim in bott_cohomology(w).entries:
             dims[deg] = dims.get(deg, 0) + dim
     return CohomologyTable.from_dict(dims)
@@ -258,11 +255,6 @@ def twist(w, m):
 def dual(w):
     """The dual bundle: reverse and negate lam, negate t."""
     return LeviWeight(w.n, tuple(-a for a in reversed(w.lam)), -w.t)
-
-
-def serre_dual(w):
-    """Weight of w-dual tensored with the canonical bundle O(-n-1)."""
-    return twist(dual(w), -(w.n + 1))
 
 
 def exterior_power_theta(p, n):

@@ -87,9 +87,7 @@ class ChaseSystem(namedtuple("ChaseSystem", "name labels dims")):
     """An ordered exact complex, held as two columns of equal length:
     ``labels`` and ``dims``, a dim of None marking an unknown dimension and a
     zero object being a term with dim 0.  ``terms`` pairs the columns into
-    ChaseTerms, a derived view.  (The public contract changed here: a system
-    used to be built, shown and pickled as ``ChaseSystem(name, terms)``; its
-    constructor, repr and pickle now take the columns.)"""
+    ChaseTerms, a derived view."""
 
     __slots__ = ()
 
@@ -112,6 +110,8 @@ class ChaseSystem(namedtuple("ChaseSystem", "name labels dims")):
 
     @property
     def terms(self):
+        """The columns paired into ChaseTerms; it stays only while the
+        benchmark reads ``.terms`` (ROADMAP items 1 and 9)."""
         # tuple.__new__ makes each ChaseTerm in C, skipping the NamedTuple's Python __new__
         return tuple(map(partial(tuple.__new__, ChaseTerm), zip(self.labels, self.dims)))
 

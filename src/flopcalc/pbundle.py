@@ -56,7 +56,6 @@ from math import comb
 from .bwb import (
     EMPTY_TABLE,
     CohomologyTable,
-    HomogeneousBundle,
     cohomology_sum,
     dual,
     form_bundle,
@@ -219,8 +218,8 @@ def cohomology_with_pullback_twist(j, w):
         return cohomology_with_pullback_twist(-n - 1 - j, dual(w)).reflect(2 * n)
     # the steps where t - a meets a fixed row of beta carry nothing
     dead = {w.t - w.lam[i] - n + i for i in range(1, n) if w.lam[i] == w.lam[i - 1]}
-    return cohomology_sum(HomogeneousBundle(tuple(
-        s for a in range(j + 1) if a not in dead for s in tensor_with_sym(w, a).summands)))
+    return cohomology_sum(s for a in range(j + 1) if a not in dead
+                          for s in tensor_with_sym(w, a).summands)
 
 
 def hom_dims(a, b):

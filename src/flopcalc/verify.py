@@ -69,7 +69,6 @@ def verify_lemma_1_3(n):
 
 def verify_lemma_1_6(n):
     """Functor formulas on the first spanning rectangle and the round trip."""
-    variety = ModelVariety(n)
     cases = ideal_cases = 0
     for lb in flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA):
         image = flop.apply_phi(lb)

@@ -15,12 +15,12 @@ from cech_oracle import (
     line_bundle_cohomology,
     tangent_twist_cohomology,
 )
+from test_bwb import serre_dual
 from flopcalc.bwb import (
     LeviWeight,
     bott_cohomology,
     form_bundle,
     line_bundle,
-    serre_dual,
     tangent_bundle,
     twist,
 )
