@@ -51,9 +51,15 @@ def _int_arg(text):
 
 @lru_cache(maxsize=1)
 def build_parser():
-    """The argument parser, built once per process; parse_args keeps no state."""
+    """The argument parser, built once per process; parse_args keeps no state.
+
+    ``parser.subcommands`` maps each subcommand's name to the parser
+    ``add_subparsers`` registered for it.  ``_parse_args`` hands a call whose
+    first token is a subcommand straight to that parser, and every other
+    call to the top-level one, which picks the same parser after it."""
     parser = _Parser(prog="flopcalc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
@@ -279,16 +285,25 @@ _HELP = {"-h", "--h", "--he", "--hel", "--help"}
 
 
 def _parse_args(argv):
-    """The parsed arguments.  An unknown option before the subcommand is
-    named here: argparse would pass over it and read the token after it as
-    the subcommand, and so blame that token instead."""
+    """The parsed arguments.  When the first token names a subcommand, the
+    rest is parsed by that subcommand's own parser, once; the top-level
+    parser would pass the same tokens to the same parser after a parse of
+    its own.  Any other argv goes through the top-level parser.  An unknown
+    option before the subcommand is named here: argparse would pass over it
+    and read the token after it as the subcommand, and so blame that token
+    instead."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    if argv and argv[0] in parser.subcommands:
+        args = parser.subcommands[argv[0]].parse_args(argv[1:])
+        args.command = argv[0]
+        return args
     for token in argv:
-        if token in _COMMANDS:
+        if token in parser.subcommands:
             break
         if token.startswith("-") and token not in _HELP:
             raise UsageError(f"unrecognized arguments: {shorten(token)}")
-    return build_parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def main(argv=None):

@@ -61,6 +61,12 @@ class ImageKind(enum.Enum):
     IDEAL_TWIST = "ideal_twist"
 
 
+# the functors run once per class; reading an enum member through its class
+# costs several times a module global on CPython 3.11
+_X, _X_PLUS = Side.X, Side.X_PLUS
+_LINE, _IDEAL_TWIST = ImageKind.LINE, ImageKind.IDEAL_TWIST
+
+
 class FMImage(namedtuple("FMImage", "kind bundle")):
     """A functor image: a line-bundle class, possibly twisted by the ideal
     sheaf of the flopped centre (which only lives on the flopped side)."""
@@ -68,7 +74,7 @@ class FMImage(namedtuple("FMImage", "kind bundle")):
     __slots__ = ()
 
     def __new__(cls, kind, bundle):
-        if kind is ImageKind.IDEAL_TWIST and bundle.variety.side is not Side.X_PLUS:
+        if kind is _IDEAL_TWIST and bundle.variety.side is not _X_PLUS:
             raise ValueError("ideal-twist images only arise on the flopped side")
         return tuple.__new__(cls, (kind, bundle))
 
@@ -78,52 +84,53 @@ def _shown(*values):
     return ", ".join(shorten(str(v)) for v in values)
 
 
-def _require_side(lb, side, functor):
-    if lb.variety.side is not side:
-        raise FunctorRangeError(f"{functor} expects a class on side {side.value}")
+def _wrong_side(side, functor):
+    return FunctorRangeError(f"{functor} expects a class on side {side.value}")
 
 
 def apply_phi(lb):
     """Blow-up/blow-down image of (j, k) with -n <= j <= 0, -n+1 <= k <= 1."""
-    _require_side(lb, Side.X, "phi")
-    n = lb.variety.n
-    if not (-n <= lb.j <= 0 and -n + 1 <= lb.k <= 1):
+    variety, j, k = lb.variety, lb.j, lb.k
+    if variety.side is not _X:
+        raise _wrong_side(_X, "phi")
+    n = variety.n
+    if not (-n <= j <= 0 and -n + 1 <= k <= 1):
         raise FunctorRangeError(
             f"phi is only computed for {_shown(-n)} <= j <= 0 and {_shown(-n + 1)} "
-            f"<= k <= 1, got (j, k) = ({_shown(lb.j, lb.k)})"
+            f"<= k <= 1, got (j, k) = ({_shown(j, k)})"
         )
-    target = ModelVariety(n, Side.X_PLUS)
-    image = XLineBundle(target, lb.j + lb.k, -lb.k)
-    if lb.k == 1:
-        return FMImage(ImageKind.IDEAL_TWIST, image)
-    return FMImage(ImageKind.LINE, image)
+    image = XLineBundle(ModelVariety(n, _X_PLUS), j + k, -k)
+    return FMImage(_IDEAL_TWIST if k == 1 else _LINE, image)
 
 
 def apply_phi_prime(lb):
     """Inverse transport of a line image (j+k, -k) back to (j, k)."""
-    _require_side(lb, Side.X_PLUS, "phi_prime")
-    n = lb.variety.n
-    k = -lb.k
-    j = lb.j - k
+    variety, lb_j, lb_k = lb.variety, lb.j, lb.k
+    if variety.side is not _X_PLUS:
+        raise _wrong_side(_X_PLUS, "phi_prime")
+    n = variety.n
+    k = -lb_k
+    j = lb_j - k
     if not (-n <= j <= 0 and -n + 1 <= k <= 0):
         raise FunctorRangeError(
             f"phi_prime is only computed on line images of the phi range, "
-            f"got class ({_shown(lb.j, lb.k)})"
+            f"got class ({_shown(lb_j, lb_k)})"
         )
-    return XLineBundle(ModelVariety(n, Side.X), j, k)
+    return XLineBundle(ModelVariety(n, _X), j, k)
 
 
 def apply_psi(lb):
     """Fibre-product pushpull of (j, k) with -n <= j <= 0 and -n <= k <= 0."""
-    _require_side(lb, Side.X, "psi")
-    n = lb.variety.n
-    if not (-n <= lb.j <= 0 and -n <= lb.k <= 0):
+    variety, j, k = lb.variety, lb.j, lb.k
+    if variety.side is not _X:
+        raise _wrong_side(_X, "psi")
+    n = variety.n
+    if not (-n <= j <= 0 and -n <= k <= 0):
         raise FunctorRangeError(
             f"psi is only computed for {_shown(-n)} <= j, k <= 0, "
-            f"got (j, k) = ({_shown(lb.j, lb.k)})"
+            f"got (j, k) = ({_shown(j, k)})"
         )
-    target = ModelVariety(n, Side.X_PLUS)
-    return XLineBundle(target, lb.j + lb.k, -lb.k)
+    return XLineBundle(ModelVariety(n, _X_PLUS), j + k, -k)
 
 
 class SpanningClass(enum.Enum):

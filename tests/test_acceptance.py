@@ -15,9 +15,7 @@ from cech_oracle import (
     line_bundle_cohomology,
     tangent_twist_cohomology,
 )
-from test_bwb import serre_dual
 from flopcalc.bwb import (
-    LeviWeight,
     bott_cohomology,
     form_bundle,
     line_bundle,
@@ -37,8 +35,7 @@ from flopcalc.homalg import (
     koszul_resolution,
     reference_chase_systems,
 )
-from flopcalc.pbundle import ModelVariety, XLineBundle, canonical_class, cohomology_X, \
-    hom_dims
+from flopcalc.pbundle import ModelVariety, XLineBundle, cohomology_X, hom_dims
 from flopcalc.verify import Status, verify_cor_2_2, verify_lemma_1_3
 
 
@@ -138,34 +135,9 @@ def test_criterion_7_round_trip_identity():
 
 
 def test_criterion_8_property_suite():
+    # the Serre and Euler-sequence sweeps live in test_bwb.py (TestSerreDuality,
+    # TestEulerSequence) and test_pbundle.py (test_serre_duality_reflection)
     with Budget("8 (properties)", 10.0):
-        # Serre reflection at the weight level, exhaustive |lam|, |t| <= 4
-        for n in (1, 2, 3):
-            vals = range(-4, 5)
-            for lam in product(vals, repeat=n):
-                if any(a < b for a, b in zip(lam, lam[1:])):
-                    continue
-                for t in vals:
-                    w = LeviWeight(n, lam, t)
-                    assert bott_cohomology(serre_dual(w)) == bott_cohomology(w).reflect(n)
-
-        # Serre reflection at the total-space level
-        for n in (2, 3):
-            variety = ModelVariety(n)
-            omega = canonical_class(variety)
-            for j in range(-2 * n - 2, 2 * n + 3):
-                for k in range(-n, n + 1):
-                    lb = XLineBundle(variety, j, k)
-                    assert cohomology_X(lb).reflect(2 * n) == cohomology_X(omega - lb)
-
-        # Euler-sequence Euler characteristic identity
-        for n in (1, 2, 3, 4):
-            for m in range(-n - 3, n + 4):
-                chi_theta = bott_cohomology(twist(tangent_bundle(n), m)).euler()
-                chi_m = bott_cohomology(line_bundle(n, m)).euler()
-                chi_m1 = bott_cohomology(line_bundle(n, m + 1)).euler()
-                assert chi_theta == (n + 1) * chi_m1 - chi_m
-
         # Koszul alternating Euler characteristic vanishes
         for n in (2, 3, 4):
             assert koszul_resolution(n).alternating_euler_sum() == 0

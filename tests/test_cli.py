@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from flopcalc import homalg
-from flopcalc.cli import main
+from flopcalc import cli, homalg
+from flopcalc.cli import build_parser, main
+from test_cli_corpus import CORPUS
 
 
 needs_digit_limit = pytest.mark.skipif(
@@ -451,3 +452,57 @@ def test_huge_twist_finishes():
                       "--json", timeout=10)
     assert proc.returncode == 0
     assert sorted(json.loads(proc.stdout)["dims"]) == ["0", "2", "3"]
+
+
+# argvs whose first token is a subcommand are parsed by that subcommand's own
+# parser; each must give what the top-level parser gives for it
+SUBCOMMANDS = ["bott", "cohomology", "functor", "flop", "koszul", "ext", "verify"]
+ROUTE_ARGVS = [case["argv"] for case in CORPUS] + [
+    [cmd, flag] for cmd in SUBCOMMANDS for flag in ("--help", "-h")
+] + [
+    ["verify", "--he"],
+    ["verify", "lemma-1-3", "--he"],
+    ["bott", "--n", "2", "--weight", "1,0|-1", "--js"],
+    ["verify", "lemma-1-6", "--n", "3", "--js"],
+    ["koszul", "--n=3"],
+    ["verify", "lemma-3-4", "--n=3", "--json"],
+    ["verify", "--", "lemma-1-6"],
+    ["verify", "--n", "3", "--", "lemma-3-4"],
+    ["functor", "--n", "2", "--j", "0", "--k", "0", "--", "phi"],
+    ["flop", "--n", "2", "--", "picard"],
+    ["verify", "--", "--json"],
+    ["cohomology", "--n", "3", "--j", "-5", "--k", "-2"],
+    ["functor", "psi", "--n", "3", "--j", "-2", "--k", "-3", "--json"],
+    ["functor", "--n", "-3", "phi", "--j", "0", "--k", "0"],
+    ["koszul", "--n", "-2"],
+    ["functor", "--n", "2", "--j", "0", "--k", "0"],
+    ["flop", "--n", "2"],
+    ["ext", "--n", "2"],
+    ["verify"],
+    ["bott"],
+    ["koszul", "--n"],
+    ["koszul", "--n", "2", "extra"],
+    ["koszul", "--n", "2", "extra", "--bogus", "-1"],
+    ["verify", "lemma-1-6", "--n", "2", "more", "tokens"],
+    ["functor", "phi", "psi", "--n", "2", "--j", "0", "--k", "0"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_each_subcommand_has_its_parser():
+    assert build_parser().subcommands.keys() == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", ROUTE_ARGVS, ids=[" ".join(a) for a in ROUTE_ARGVS])
+def test_subcommand_route_matches_top_level_parser(capsys, monkeypatch, argv):
+    direct = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: build_parser().parse_args(argv))
+    assert _outcome(capsys, argv) == direct

@@ -65,16 +65,20 @@ class TestPhi:
     def test_range_errors(self):
         v = ModelVariety(2)
         for j, k in ((1, 0), (-3, 0), (0, 2), (0, -2)):
-            with pytest.raises(FunctorRangeError):
+            with pytest.raises(FunctorRangeError) as err:
                 apply_phi(XLineBundle(v, j, k))
+            assert str(err.value) == (
+                f"phi is only computed for -2 <= j <= 0 and -1 <= k <= 1, got (j, k) = ({j}, {k})")
 
     def test_wrong_side_rejected(self):
-        with pytest.raises(FunctorRangeError):
+        with pytest.raises(FunctorRangeError) as err:
             apply_phi(XLineBundle(ModelVariety(2, Side.X_PLUS), 0, 0))
+        assert str(err.value) == "phi expects a class on side x"
 
     def test_ideal_twist_only_lives_on_the_flopped_side(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             FMImage(ImageKind.IDEAL_TWIST, XLineBundle(ModelVariety(2), 1, -1))
+        assert str(err.value) == "ideal-twist images only arise on the flopped side"
 
 
 class TestPhiPrime:
@@ -92,8 +96,15 @@ class TestPhiPrime:
                 assert apply_phi_prime(apply_phi(lb).bundle) == lb
 
     def test_out_of_range(self):
-        with pytest.raises(FunctorRangeError):
+        with pytest.raises(FunctorRangeError) as err:
             apply_phi_prime(XLineBundle(ModelVariety(2, Side.X_PLUS), 3, 0))
+        assert str(err.value) == (
+            "phi_prime is only computed on line images of the phi range, got class (3, 0)")
+
+    def test_wrong_side_rejected(self):
+        with pytest.raises(FunctorRangeError) as err:
+            apply_phi_prime(XLineBundle(ModelVariety(2), 0, 0))
+        assert str(err.value) == "phi_prime expects a class on side xplus"
 
 
 class TestPsi:
@@ -119,8 +130,19 @@ class TestPsi:
                 assert apply_psi(c).coords() == pic.apply(c.j, c.k)
 
     def test_rejects_the_ideal_corner_of_the_other_class(self):
-        with pytest.raises(FunctorRangeError):
+        with pytest.raises(FunctorRangeError) as err:
             apply_psi(XLineBundle(ModelVariety(2), 0, 1))
+        assert str(err.value) == "psi is only computed for -2 <= j, k <= 0, got (j, k) = (0, 1)"
+
+    def test_out_of_range(self):
+        with pytest.raises(FunctorRangeError) as err:
+            apply_psi(XLineBundle(ModelVariety(3), -4, 0))
+        assert str(err.value) == "psi is only computed for -3 <= j, k <= 0, got (j, k) = (-4, 0)"
+
+    def test_wrong_side_rejected(self):
+        with pytest.raises(FunctorRangeError) as err:
+            apply_psi(XLineBundle(ModelVariety(2, Side.X_PLUS), 0, 0))
+        assert str(err.value) == "psi expects a class on side x"
 
 
 class TestSpanningClasses:
