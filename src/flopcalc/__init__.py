@@ -9,54 +9,8 @@ flop X+.  Submodules:
   homalg   dimension chasing, the Koszul resolution, Ext against the ideal
   verify   named pass/fail suites for the model's dimension claims
   cli      the ``flopcalc`` command-line tool
+
+Each name is imported from its module (``from flopcalc.bwb import
+weyl_dim``); the package itself binds none, so ``import flopcalc`` alone
+loads no submodule.
 """
-
-from .bwb import (
-    CohomologyTable,
-    HomogeneousBundle,
-    LeviWeight,
-    bott_cohomology,
-    cohomology_sum,
-    exterior_power_theta,
-    form_bundle,
-    line_bundle,
-    parse_weight,
-    structure_sheaf,
-    tangent_bundle,
-    twist,
-    weyl_dim,
-)
-from .flop import (
-    FMImage,
-    FunctorRangeError,
-    ImageKind,
-    PicMap,
-    SpanningClass,
-    apply_phi,
-    apply_phi_prime,
-    apply_psi,
-    enumerate_spanning_class,
-    phi_pullback,
-)
-from .homalg import (
-    ChaseInconsistencyError,
-    ChaseSystem,
-    ChaseTerm,
-    ChaseUnderdeterminedError,
-    chase_solve,
-    ext2_ideal_self,
-    ext_locally_free_vs_ideal,
-    ext_table_OY,
-    koszul_resolution,
-)
-from .pbundle import (
-    ModelVariety,
-    Side,
-    XLineBundle,
-    canonical_class,
-    cohomology_X,
-    hom_dims,
-)
-from .verify import CheckResult, Status, run_all, run_check
-
-__version__ = "0.1.0"

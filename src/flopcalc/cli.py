@@ -284,18 +284,41 @@ _COMMANDS = {"bott": _cmd_bott, "cohomology": _cmd_cohomology, "functor": _cmd_f
 _HELP = {"-h", "--h", "--he", "--hel", "--help"}
 
 
+def _unknown_option(parser, tokens):
+    """The first of ``tokens`` that argparse reads as an option and ``parser``
+    neither has nor abbreviates, or None.  As in argparse, a negative number,
+    a token with a space and anything after ``--`` are values."""
+    for token in tokens:
+        if token == "--":
+            return None
+        name = token.partition("=")[0]
+        if (token.startswith("-") and " " not in token
+                and not parser._negative_number_matcher.match(token)
+                and not any(option.startswith(name) for option in parser._option_string_actions)):
+            return token
+    return None
+
+
 def _parse_args(argv):
     """The parsed arguments.  When the first token names a subcommand, the
     rest is parsed by that subcommand's own parser, once; the top-level
     parser would pass the same tokens to the same parser after a parse of
     its own.  Any other argv goes through the top-level parser.  An unknown
-    option before the subcommand is named here: argparse would pass over it
-    and read the token after it as the subcommand, and so blame that token
-    instead."""
+    option is named here in two cases: before the subcommand, argparse would
+    pass over it and read the token after it as the subcommand, and so blame
+    that token instead; after it, argparse would report a missing required
+    flag first and not name the option at all."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     if argv and argv[0] in parser.subcommands:
-        args = parser.subcommands[argv[0]].parse_args(argv[1:])
+        sub = parser.subcommands[argv[0]]
+        try:
+            args = sub.parse_args(argv[1:])
+        except UsageError as exc:
+            unknown = _unknown_option(sub, argv[1:])
+            if unknown is None or not str(exc).startswith("the following arguments are required"):
+                raise
+            raise UsageError(f"unrecognized arguments: {shorten(unknown)}") from None
         args.command = argv[0]
         return args
     for token in argv:

@@ -408,12 +408,6 @@ def reference_chase_systems(n):
         restriction_chase_system(p, n) for p in range(1, n + 1)]
 
 
-def ext2_ideal_self(n):
-    """dim Ext^2(I, I), the degree-2 self-extension count of the ideal sheaf;
-    see ext2_ideal_self_with_trace."""
-    return ext2_ideal_self_with_trace(n)[0]
-
-
 def ext2_ideal_self_with_trace(n):
     """dim Ext^2(I, I) and the chase traces behind it, read from one solve
     of each system.

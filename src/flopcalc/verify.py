@@ -70,6 +70,7 @@ def verify_lemma_1_3(n):
 def verify_lemma_1_6(n):
     """Functor formulas on the first spanning rectangle and the round trip."""
     cases = ideal_cases = 0
+    ideal_twist = flop.ImageKind.IDEAL_TWIST
     for lb in flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA):
         image = flop.apply_phi(lb)
         expected = (lb.j + lb.k, -lb.k)
@@ -78,7 +79,7 @@ def verify_lemma_1_6(n):
                 "lemma-1-6", n,
                 {"input": lb.coords(), "image": image.bundle.coords(), "expected": expected},
             )
-        if (image.kind is flop.ImageKind.IDEAL_TWIST) != (lb.k == 1):
+        if (image.kind is ideal_twist) != (lb.k == 1):
             return _fail(
                 "lemma-1-6", n, {"input": lb.coords(), "kind": image.kind.value}
             )
@@ -139,7 +140,7 @@ def verify_cor_2_2(n):
     """The degree-2 self-Ext jumps from 0 to 1 across the first functor.  The
     chase runs first: it refuses any n but 2 before a table is built."""
     try:
-        image = homalg.ext2_ideal_self(n)
+        image, _ = homalg.ext2_ideal_self_with_trace(n)
     except homalg.ChaseUnderdeterminedError as exc:
         return CheckResult("cor-2-2", n, Status.UNDERDETERMINED, {"chase": str(exc)})
     variety = ModelVariety(n)

@@ -28,7 +28,7 @@ from flopcalc.homalg import (
     ChaseInconsistencyError,
     ChaseSystem,
     chase_solve,
-    ext2_ideal_self,
+    ext2_ideal_self_with_trace,
     ext_locally_free_vs_ideal,
     ext_table_OY,
     ideal_cohomology_system,
@@ -105,7 +105,7 @@ def test_criterion_5_ext2_pair_across_phi():
         variety = ModelVariety(2)
         cls = XLineBundle(variety, 0, 1)
         source = hom_dims(cls, cls).get(2)
-        image = ext2_ideal_self(2)
+        image = ext2_ideal_self_with_trace(2)[0]
         assert (source, image) == (0, 1)
         assert verify_cor_2_2(2).status is Status.PASS
 

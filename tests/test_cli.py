@@ -293,14 +293,41 @@ def test_overlong_max_n_is_not_echoed(capsys, value, shown):
     (["verify", "all", "--config", "x"], "--config x"),
     (["--foo"], "--foo"),
     (["-x" + "y" * 60, "bott"], "-xyyyyyyyyyyyyyyyyyy... (62 characters)"),
-], ids=["before", "after", "config-before", "config-after", "alone", "overlong"])
+    (["bott", "--foo"], "--foo"),
+    (["bott", "-x"], "-x"),
+    (["bott", "--foo=1", "--n", "2"], "--foo=1"),
+    (["bott", "--wei", "0,0|0", "--foo"], "--foo"),
+    (["cohomology", "--j", "-3", "--bogus", "--k", "-1000000"], "--bogus"),
+    (["functor", "-z" * 40], "-z-z-z-z-z-z-z-z-z-z... (80 characters)"),
+], ids=["before", "after", "config-before", "config-after", "alone", "overlong",
+        "missing-flags", "short-missing-flags", "with-value-missing-flag",
+        "after-abbreviation-missing-flag", "after-negative-missing-flag",
+        "overlong-missing-flags"])
 def test_unknown_option_is_named(capsys, argv, named):
     # before the subcommand argparse passes over an unknown option and reads
-    # the token after it as the subcommand, blaming that token instead
+    # the token after it as the subcommand, blaming that token instead; after
+    # it, argparse reports missing required flags first, without the option
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"flopcalc: error: unrecognized arguments: {named}\n"
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["bott", "--n", "2"], "--weight"),
+    (["bott", "--wei", "0,0|0"], "--n"),
+    (["bott", "--weight=-1,0|0"], "--n"),
+    (["bott", "--weight", "-1, 0|0"], "--n"),
+    (["cohomology", "--n=2", "--j", "-3"], "--k"),
+    (["cohomology", "--j", "-3", "--k", "-1000000"], "--n"),
+    (["functor", "--n", "2", "--j", "0", "--", "phi", "-x"], "--k"),
+], ids=["plain", "abbreviation", "equals", "space", "n-equals", "negatives", "after-dashes"])
+def test_missing_flag_without_unknown_option(capsys, argv, missing):
+    # a negative number, a token with a space and a token after "--" are values
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"flopcalc: error: the following arguments are required: {missing}\n"
 
 
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])

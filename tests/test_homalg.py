@@ -17,7 +17,6 @@ from flopcalc.homalg import (
     ChaseUnderdeterminedError,
     DegeneracyUnjustifiedError,
     chase_solve,
-    ext2_ideal_self,
     ext2_ideal_self_with_trace,
     ext_centre_vs_ideal_system,
     ext_locally_free_vs_ideal,
@@ -503,11 +502,11 @@ class TestFirstRouteExt:
 
 class TestIdealSelfExt:
     def test_value(self):
-        assert ext2_ideal_self(2) == 1
+        assert ext2_ideal_self_with_trace(2)[0] == 1
 
     def test_restricted_to_n2(self):
         with pytest.raises(ValueError):
-            ext2_ideal_self(3)
+            ext2_ideal_self_with_trace(3)
 
     def test_ideal_cohomology_intermediates(self):
         sol = chase_solve(ideal_cohomology_system(2))
@@ -532,7 +531,6 @@ class TestIdealSelfExt:
 
     @pytest.mark.parametrize("name, n, solves", [
         ("ext2_ideal_self_with_trace", 2, 3),
-        ("ext2_ideal_self", 2, 3),
         ("reference_chase_systems", 2, 2),
         ("reference_chase_systems", 4, 2),
     ])

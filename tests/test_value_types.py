@@ -163,3 +163,17 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == []
+
+
+def test_import_loads_only_the_module_named():
+    # the package binds no name of its own, so importing one module loads no
+    # other, and an engine name has one import path, through its module
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import flopcalc.bwb; "
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'flopcalc')); "
+            "print(*sorted(n for n in vars(flopcalc) if not n.startswith('__')))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    modules, names = done.stdout.splitlines()
+    assert modules.split() == ["flopcalc", "flopcalc.bwb"]
+    assert names.split() == ["bwb"]

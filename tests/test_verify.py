@@ -159,7 +159,7 @@ class TestIndividualSuites:
         def unsettled(n):
             raise homalg.ChaseUnderdeterminedError("the chase does not determine 'Ext^2(I,I)'")
 
-        monkeypatch.setattr(homalg, "ext2_ideal_self", unsettled)
+        monkeypatch.setattr(homalg, "ext2_ideal_self_with_trace", unsettled)
         result = verify_cor_2_2(2)
         assert result.status is Status.UNDERDETERMINED
         assert result.evidence == {"chase": "the chase does not determine 'Ext^2(I,I)'"}
