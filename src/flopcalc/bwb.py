@@ -124,7 +124,7 @@ def tangent_bundle(n):
 class HomogeneousBundle(namedtuple("HomogeneousBundle", "summands")):
     """The Pieri summands ``tensor_with_sym`` returns, a tuple of Levi weights;
     unchecked.  It stays only while the benchmark's tracer reads ``.summands``
-    (ROADMAP items 1 and 9)."""
+    (``tracer._summands``)."""
 
     __slots__ = ()
 

@@ -9,15 +9,22 @@ decimal integers, keys sorted as strings (degree "10" before "2").
 JSON line.  Exit codes: 0 success / all checks pass, 1 any FAIL, 2
 malformed input (with a one-line diagnostic naming the offending token), 3
 any UNDERDETERMINED without a FAIL.
+
+Arguments are read from the table ``_COMMANDS`` as Python 3.11's argparse
+read them, diagnostics included: an option may be cut to a unique prefix
+(--wei) or take its value after "=", a negative number or a token with a
+space is a value, ``--`` ends the options, the last of a repeated flag wins,
+and an unknown option is named ahead of a missing flag.  Help (-h, --help,
+--he), once reached, goes to stdout with unpinned bytes; ``main`` returns 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from collections import Counter, namedtuple
-from functools import lru_cache
+from types import SimpleNamespace
 
 from . import flop, homalg, verify
 from .bwb import bott_cohomology, parse_weight, read_int, shorten
@@ -26,87 +33,6 @@ from .pbundle import ModelVariety, Side, XLineBundle, cohomology_X
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-    def _check_value(self, action, value):
-        # argparse would echo an over-long invalid choice in full
-        if action.choices is not None and value not in action.choices and shorten(value) != value:
-            choices = ", ".join(map(repr, action.choices))
-            message = f"invalid choice: {shorten(value, repr)} (choose from {choices})"
-            raise argparse.ArgumentError(action, message)
-        super()._check_value(action, value)
-
-
-def _int_arg(text):
-    """argparse type for integer flags; an over-long literal is not echoed in full."""
-    try:
-        return read_int(text, f"invalid int value: {shorten(text, repr)}")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-@lru_cache(maxsize=1)
-def build_parser():
-    """The argument parser, built once per process; parse_args keeps no state.
-
-    ``parser.subcommands`` maps each subcommand's name to the parser
-    ``add_subparsers`` registered for it.  ``_parse_args`` hands a call whose
-    first token is a subcommand straight to that parser, and every other
-    call to the top-level one, which picks the same parser after it."""
-    parser = _Parser(prog="flopcalc", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = sub.choices
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit JSON")
-
-    p = sub.add_parser("bott", help="cohomology table of a weight on P^n")
-    p.add_argument("--n", type=_int_arg, required=True)
-    p.add_argument("--weight", required=True, help='literal "l1,...,ln|t"')
-    common(p)
-
-    p = sub.add_parser("cohomology", help="cohomology of O(j) (x) pi*O(k)")
-    p.add_argument("--n", type=_int_arg, required=True)
-    p.add_argument("--side", choices=["x", "xplus"], default="x")
-    p.add_argument("--j", type=_int_arg, required=True)
-    p.add_argument("--k", type=_int_arg, required=True)
-    common(p)
-
-    p = sub.add_parser("functor", help="apply phi, phiprime or psi to a class")
-    p.add_argument("name", choices=["phi", "phiprime", "psi"])
-    p.add_argument("--n", type=_int_arg, required=True)
-    p.add_argument("--j", type=_int_arg, required=True)
-    p.add_argument("--k", type=_int_arg, required=True)
-    common(p)
-
-    p = sub.add_parser("flop", help="lattice data of the flop")
-    p.add_argument("what", choices=["picard"])
-    p.add_argument("--n", type=_int_arg, required=True)
-    common(p)
-
-    p = sub.add_parser("koszul", help="Koszul resolution of the ideal sheaf")
-    p.add_argument("--n", type=_int_arg, required=True)
-    common(p)
-
-    p = sub.add_parser("ext", help="Ext computations")
-    p.add_argument("what", choices=["oy-oy", "ideal-self"])
-    p.add_argument("--n", type=_int_arg, required=True)
-    p.add_argument("--trace", action="store_true", help="emit chase traces")
-    common(p)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("check", help="a check id or 'all'")
-    p.add_argument("--n", type=_int_arg, default=None)
-    p.add_argument("--max-n", dest="max_n", type=_int_arg, default=None)
-    p.add_argument("--markdown", action="store_true")
-    p.add_argument("--out", help="write the report to this path")
-    common(p)
-
-    return parser
 
 
 class Report(namedtuple("Report", "payload text markdown code trace blame",
@@ -155,23 +81,17 @@ def _cmd_functor(args):
     image = _FUNCTORS[args.name](XLineBundle(ModelVariety(args.n, side), args.j, args.k))
     kind, line = (image.kind, image.bundle) if args.name == "phi" else (flop.ImageKind.LINE, image)
     suffix = " (x) I_Y+" if kind is flop.ImageKind.IDEAL_TWIST else ""
-    return Report(
-        {"tag": kind.value, "j": line.j, "k": line.k},
-        lambda: [f"{args.name}({args.j},{args.k}) = O({line.j}) (x) pi*O({line.k})"
-                 f"{suffix} on {line.variety.side.value}"],
-        blame="--j/--k",
-    )
+    return Report({"tag": kind.value, "j": line.j, "k": line.k},
+                  lambda: [f"{args.name}({args.j},{args.k}) = O({line.j}) (x) pi*O({line.k})"
+                           f"{suffix} on {line.variety.side.value}"], blame="--j/--k")
 
 
 def _cmd_flop(args):
     pic = flop.phi_pullback(args.n)
     involution = pic.is_involution()
-    return Report(
-        {"n": args.n, "matrix": pic.rows, "involution": involution},
-        lambda: [f"picard transport for n={args.n} in the (j, k) basis:",
-                 *(f"  {list(row)}" for row in pic.rows),
-                 f"involution: {involution}"],
-    )
+    return Report({"n": args.n, "matrix": pic.rows, "involution": involution},
+                  lambda: [f"picard transport for n={args.n} in the (j, k) basis:",
+                           *(f"  {list(row)}" for row in pic.rows), f"involution: {involution}"])
 
 
 def _cmd_koszul(args):
@@ -179,13 +99,11 @@ def _cmd_koszul(args):
     total = res.alternating_rank_sum()
     terms = [{"p": t.p, "j": t.line_class.j, "theta_wedge": t.theta_wedge.literal(),
               "rank": t.rank} for t in res.terms]
-    return Report(
-        {"n": args.n, "terms": terms, "alternating_rank_sum": total},
-        lambda: [f"resolution of the ideal sheaf for n={args.n}:",
-                 *(f"  p={t['p']}: O({t['j']}) (x) pi*Wedge^{t['p']}(Theta) "
-                   f"[weight {t['theta_wedge']}, rank {t['rank']}]" for t in terms),
-                 f"alternating rank sum = {total}"],
-    )
+    return Report({"n": args.n, "terms": terms, "alternating_rank_sum": total},
+                  lambda: [f"resolution of the ideal sheaf for n={args.n}:",
+                           *(f"  p={t['p']}: O({t['j']}) (x) pi*Wedge^{t['p']}(Theta) "
+                             f"[weight {t['theta_wedge']}, rank {t['rank']}]" for t in terms),
+                           f"alternating rank sum = {total}"])
 
 
 def _cmd_ext(args):
@@ -197,10 +115,8 @@ def _cmd_ext(args):
     if args.n != 2:
         raise UsageError("ext ideal-self is only computed at --n 2")
     value, traces = homalg.ext2_ideal_self_with_trace(2)
-    trace = ()
-    if args.trace:
-        trace = tuple(f"[{name}] {label}: {rule} -> {solved}"
-                      for name, steps in traces for label, rule, solved in steps)
+    trace = tuple(f"[{name}] {label}: {rule} -> {solved}" for name, steps in traces
+                  for label, rule, solved in steps) if args.trace else ()
     return Report({"n": 2, "ext2_ideal_self": value}, lambda: [f"Ext^2(I, I) = {value}"],
                   trace=trace)
 
@@ -256,17 +172,13 @@ def render(report, output_format, out_path):
     or stdout.  A number with more digits than Python converts to text
     (``sys.get_int_max_str_digits``) is blamed on the report's flags."""
     try:
-        if output_format == "json":
-            body = [json.dumps(_jsonable(report.payload), sort_keys=True, separators=(",", ":"))]
-        elif output_format == "markdown":
-            body = report.markdown()
-        else:
-            body = report.text()
+        body = ([json.dumps(_jsonable(report.payload), sort_keys=True, separators=(",", ":"))]
+                if output_format == "json" else getattr(report, output_format)())
         text = "".join(f"{line}\n" for line in (*report.trace, *body))
     except ValueError:
         message = "a number in the result has too many digits to print"
         raise UsageError(f"{report.blame} too large: {message}") from None
-    if not out_path:
+    if out_path is None:
         sys.stdout.write(text)
         return
     try:
@@ -276,66 +188,153 @@ def render(report, output_format, out_path):
         raise UsageError(f"cannot write --out {shorten(out_path, repr)}: {exc.strerror}") from None
 
 
-_COMMANDS = {"bott": _cmd_bott, "cohomology": _cmd_cohomology, "functor": _cmd_functor,
-             "flop": _cmd_flop, "koszul": _cmd_koszul, "ext": _cmd_ext, "verify": _cmd_verify}
+# a subcommand: its handler, its help line, its positional as (dest, choices)
+# or None, and its options, each with -h, --help and --json; an option's kind
+# is int (read by read_int), str, bool (set by the bare flag) or None (help)
+Command = namedtuple("Command", "handler help positional flags")
+Flag = namedtuple("Flag", "dest kind default required choices help",
+                  defaults=(None, False, None, ""))
+_HELP = Flag("help", None, help="show this help and exit")
+_N, _J, _K = (Flag(dest, int, required=True, help="required") for dest in "njk")
+_COMMANDS = {name: Command(handler, text, positional, {
+                 "-h": _HELP, "--help": _HELP, **flags,
+                 "--json": Flag("json", bool, False, help="emit JSON")})
+             for name, handler, text, positional, flags in [
+    ("bott", _cmd_bott, "cohomology table of a weight on P^n", None,
+     {"--n": _N, "--weight": Flag("weight", str, required=True, help='required, "l1,...,ln|t"')}),
+    ("cohomology", _cmd_cohomology, "cohomology of O(j) (x) pi*O(k)", None, {
+        "--n": _N, "--side": Flag("side", str, "x", choices=("x", "xplus"), help="x or xplus"),
+        "--j": _J, "--k": _K}),
+    ("functor", _cmd_functor, "apply phi, phiprime or psi to a class",
+     ("name", ("phi", "phiprime", "psi")), {"--n": _N, "--j": _J, "--k": _K}),
+    ("flop", _cmd_flop, "lattice data of the flop: picard", ("what", ("picard",)), {"--n": _N}),
+    ("koszul", _cmd_koszul, "Koszul resolution of the ideal sheaf", None, {"--n": _N}),
+    ("ext", _cmd_ext, "Ext computations: oy-oy or ideal-self", ("what", ("oy-oy", "ideal-self")),
+     {"--n": _N, "--trace": Flag("trace", bool, False, help="emit chase traces")}),
+    ("verify", _cmd_verify, "run verification suites (a check id or 'all')", ("check", None), {
+        "--n": Flag("n", int, help="default 2"), "--max-n": Flag("max_n", int, help="for 'all'"),
+        "--markdown": Flag("markdown", bool, False, help="emit Markdown"),
+        "--out": Flag("out", str, help="write the report to this path")}),
+]}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # a negative number, read as a value
+_TOP_HELP = {"-h", "--h", "--he", "--hel", "--help"}  # the help read before a subcommand
 
 
-# the top-level parser's only option, and the prefixes of --help argparse also takes
-_HELP = {"-h", "--h", "--he", "--hel", "--help"}
+def _help(name=None):
+    """Help for ``flopcalc`` or for subcommand ``name``, from the table."""
+    if name is None:
+        usage, title = "{%s} ..." % ",".join(_COMMANDS), __doc__.splitlines()[0]
+        rows = [(cmd, command.help) for cmd, command in _COMMANDS.items()]
+    else:
+        command = _COMMANDS[name]
+        usage, title = f"{name} [options] {(command.positional or [''])[0].upper()}", command.help
+        rows = [(f"{option} {flag.dest.upper() * (flag.kind in (int, str))}", flag.help)
+                for option, flag in command.flags.items()]
+    lines = [f"usage: flopcalc {usage}", "", title, "", *(f"  {a:<22}{b}" for a, b in rows)]
+    return "".join(f"{line.rstrip()}\n" for line in lines)
 
 
-def _unknown_option(parser, tokens):
-    """The first of ``tokens`` that argparse reads as an option and ``parser``
-    neither has nor abbreviates, or None.  As in argparse, a negative number,
-    a token with a space and anything after ``--`` are values."""
-    for token in tokens:
-        if token == "--":
-            return None
-        name = token.partition("=")[0]
-        if (token.startswith("-") and " " not in token
-                and not parser._negative_number_matcher.match(token)
-                and not any(option.startswith(name) for option in parser._option_string_actions)):
-            return token
-    return None
+def _choice(name, choices, value):
+    if choices is not None and value not in choices:
+        raise UsageError(f"argument {name}: invalid choice: {shorten(value, repr)} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _read_option(token, options):
+    """None for a value, else (option, its attached value or None), with
+    option None when ``token`` neither is nor abbreviates one of ``options``."""
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    if token in options:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return name, value
+    if token[1] != "-":  # a short option with its value attached
+        found = [(token[:2], token[2:])] if token[:2] in options else []
+    else:
+        found = [(option, value if eq else None) for option in options if option.startswith(name)]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {token} could match {', '.join(o for o, _ in found)}")
+    return found[0] if found else None if _NEGATIVE(token) or " " in token else (None, None)
+
+
+def _parse_command(name, tokens):
+    """The arguments of subcommand ``name``, or None once help is written."""
+    options, positional = _COMMANDS[name].flags, _COMMANDS[name].positional
+    cut = tokens.index("--") if "--" in tokens else len(tokens)  # "--" and all after it are values
+    read = [_read_option(token, options) for token in tokens[:cut]] + [None] * (len(tokens) - cut)
+    values = {flag.dest: flag.default for flag in options.values() if flag.kind}
+    extras, i = [], 0
+    while i < len(tokens):
+        at, i = i, i + 1
+        option, value = read[at] or (None, None)
+        flag = options.get(option)
+        if read[at] is None and positional and not at == cut == len(tokens) - 1:
+            # the positional takes a value and a "--" just before or after it
+            at += at == cut
+            values[positional[0]], positional = _choice(*positional, tokens[at]), None
+            i = at + 1 + (at + 1 == cut)
+        elif flag is None:
+            extras.append(tokens[at])
+        else:
+            if flag.kind in (int, str) and value is None:
+                if i in (len(tokens), cut) or read[i] is not None:
+                    raise UsageError(f"argument {option}: expected one argument")
+                value, i = tokens[i], i + 1
+            elif flag.kind in (bool, None) and value is not None:
+                rest = value.lstrip("h") if option == "-h" else value  # -hh reads as -h -h
+                if rest or not value:
+                    named = "/".join(other for other in options if options[other] is flag)
+                    raise UsageError(f"argument {named}: ignored explicit argument {rest!r}")
+            if flag is _HELP:
+                sys.stdout.write(_help(name))
+                return None
+            if flag.kind is int:  # a ValueError, which main reports as a usage error
+                value = read_int(value, f"argument {option}: invalid int value: "
+                                 f"{shorten(value, repr)}", f"argument {option}: an integer")
+            values[flag.dest] = True if flag.kind is bool else _choice(option, flag.choices, value)
+    missing = [*(positional or ())[:1], *(option for option, flag in options.items()
+                                          if flag.required and values[flag.dest] is None)]
+    if missing:
+        # an unknown option is named ahead of a missing flag, but not one such
+        # as -=x: argparse's route read its name before "=" as every option's prefix
+        unknown = [token for token, how in zip(tokens, read)
+                   if how == (None, None) and token[1] != "="]
+        raise UsageError(f"unrecognized arguments: {shorten(unknown[0])}" if unknown else
+                         f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=name, **values)
 
 
 def _parse_args(argv):
-    """The parsed arguments.  When the first token names a subcommand, the
-    rest is parsed by that subcommand's own parser, once; the top-level
-    parser would pass the same tokens to the same parser after a parse of
-    its own.  Any other argv goes through the top-level parser.  An unknown
-    option is named here in two cases: before the subcommand, argparse would
-    pass over it and read the token after it as the subcommand, and so blame
-    that token instead; after it, argparse would report a missing required
-    flag first and not name the option at all."""
+    """The parsed arguments, or None once help is written to stdout."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    if argv and argv[0] in parser.subcommands:
-        sub = parser.subcommands[argv[0]]
-        try:
-            args = sub.parse_args(argv[1:])
-        except UsageError as exc:
-            unknown = _unknown_option(sub, argv[1:])
-            if unknown is None or not str(exc).startswith("the following arguments are required"):
-                raise
-            raise UsageError(f"unrecognized arguments: {shorten(unknown)}") from None
-        args.command = argv[0]
-        return args
+    if argv and argv[0] in _COMMANDS:
+        return _parse_command(argv[0], argv[1:])
     for token in argv:
-        if token in parser.subcommands:
+        if token in _COMMANDS:
             break
-        if token.startswith("-") and token not in _HELP:
+        if token.startswith("-") and token not in _TOP_HELP:
             raise UsageError(f"unrecognized arguments: {shorten(token)}")
-    return parser.parse_args(argv)
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    if argv[0] not in _TOP_HELP:
+        _choice("command", _COMMANDS, argv[0])
+    sys.stdout.write(_help())
+    return None
 
 
 def main(argv=None):
     try:
         args = _parse_args(argv)
-        report = _COMMANDS[args.command](args)
-        markdown = getattr(args, "markdown", False)
-        render(report, "json" if args.json else "markdown" if markdown else "text",
-               getattr(args, "out", None))
+        if args is None:
+            return 0
+        report = _COMMANDS[args.command].handler(args)
+        output_format = "markdown" if getattr(args, "markdown", False) else "text"
+        render(report, "json" if args.json else output_format, getattr(args, "out", None))
     except (UsageError, ValueError) as exc:  # FunctorRangeError is a ValueError
         print(f"flopcalc: error: {exc}", file=sys.stderr)
         return 2

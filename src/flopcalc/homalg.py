@@ -111,7 +111,7 @@ class ChaseSystem(namedtuple("ChaseSystem", "name labels dims")):
     @property
     def terms(self):
         """The columns paired into ChaseTerms; it stays only while the
-        benchmark reads ``.terms`` (ROADMAP items 1 and 9)."""
+        benchmark reads ``.terms`` (``tracer._chase_unknowns``, ``checks.check_chase``)."""
         # tuple.__new__ makes each ChaseTerm in C, skipping the NamedTuple's Python __new__
         return tuple(map(partial(tuple.__new__, ChaseTerm), zip(self.labels, self.dims)))
 

@@ -155,14 +155,24 @@ def test_check_result_evidence_defaults_to_a_fresh_dict():
     assert first.evidence is not second.evidence
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # -S: without site, which may import modules of its own
+def _loaded_by_cli_import(*modules):
+    """Which of ``modules`` a fresh ``import flopcalc.cli`` loads; -S runs
+    without site, which may import modules of its own."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import flopcalc.cli; "
-            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            f"print(*sorted({set(modules)!r} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    assert _loaded_by_cli_import("dataclasses", "inspect") == []
+
+
+def test_cli_import_loads_neither_argparse_nor_gettext():
+    # the command line is parsed from its own table; argparse would pull in gettext
+    assert _loaded_by_cli_import("argparse", "gettext") == []
 
 
 def test_import_loads_only_the_module_named():
