@@ -33,8 +33,6 @@ never calls them on a checked type).  ``pbundle.ModelVariety`` says why two
 of them are ``__slots__`` classes instead.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 from functools import lru_cache

@@ -18,9 +18,7 @@ and an unknown option is named ahead of a missing flag.  Help (-h, --help,
 --he), once reached, goes to stdout with unpinned bytes; ``main`` returns 0.
 """
 
-from __future__ import annotations
-
-import json
+import os
 import re
 import sys
 from collections import Counter, namedtuple
@@ -158,12 +156,65 @@ def _cmd_verify(args):
     return Report(payload, text, markdown, verify.exit_code(results))
 
 
-def _jsonable(value):
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
+            "\t": "\\t"}
+
+
+def _escape(match):
+    char = match.group()
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    code = ord(char) - 0x10000
+    if code < 0:  # a BMP character or a lone surrogate, as itself
+        return "\\u%04x" % ord(char)
+    return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+
+
+def _json_str(text):
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    return '"' + re.sub(r'[\\"]|[^ -~]', _escape, text) + '"'
+
+
+def to_json(value):
+    """The bytes ``json.dumps(value, sort_keys=True, separators=(",", ":"))``
+    writes once every dict key is made ``str(key)`` (the last value wins
+    when two keys make one string): ``ensure_ascii`` escapes, ints in
+    decimal.  Types are checked by identity first, for speed, then by
+    isinstance.  Text is joined with ``+``, never ``format``, so a
+    ``(str, Enum)`` member writes its value on every Python.  An int past
+    the digit limit raises ValueError, and any other type (float too)
+    TypeError."""
+    kind = type(value)
+    if kind is dict:
+        items = {str(key): item for key, item in value.items()}
+        return "{" + ",".join([_json_str(key) + ":" + to_json(items[key])
+                               for key in sorted(items)]) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join([to_json(item) for item in value]) + "]"
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return to_json(dict(value.items()))
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        return to_json([*value])
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _cannot_write(out_path, exc):
+    return UsageError(f"cannot write --out {shorten(out_path, repr)}: {exc.strerror}")
 
 
 def render(report, output_format, out_path):
@@ -172,8 +223,8 @@ def render(report, output_format, out_path):
     or stdout.  A number with more digits than Python converts to text
     (``sys.get_int_max_str_digits``) is blamed on the report's flags."""
     try:
-        body = ([json.dumps(_jsonable(report.payload), sort_keys=True, separators=(",", ":"))]
-                if output_format == "json" else getattr(report, output_format)())
+        body = ([to_json(report.payload)] if output_format == "json"
+                else getattr(report, output_format)())
         text = "".join(f"{line}\n" for line in (*report.trace, *body))
     except ValueError:
         message = "a number in the result has too many digits to print"
@@ -185,7 +236,7 @@ def render(report, output_format, out_path):
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write --out {shorten(out_path, repr)}: {exc.strerror}") from None
+        raise _cannot_write(out_path, exc) from None
 
 
 # a subcommand: its handler, its help line, its positional as (dest, choices)
@@ -216,7 +267,6 @@ _COMMANDS = {name: Command(handler, text, positional, {
         "--markdown": Flag("markdown", bool, False, help="emit Markdown"),
         "--out": Flag("out", str, help="write the report to this path")}),
 ]}
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # a negative number, read as a value
 _TOP_HELP = {"-h", "--h", "--he", "--hel", "--help"}  # the help read before a subcommand
 
 
@@ -257,7 +307,10 @@ def _read_option(token, options):
         found = [(option, value if eq else None) for option in options if option.startswith(name)]
     if len(found) > 1:
         raise UsageError(f"ambiguous option: {token} could match {', '.join(o for o, _ in found)}")
-    return found[0] if found else None if _NEGATIVE(token) or " " in token else (None, None)
+    if found:
+        return found[0]
+    # a negative number or a token with a space is a value
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
 
 
 def _parse_command(name, tokens):
@@ -327,14 +380,29 @@ def _parse_args(argv):
     return None
 
 
+def _claim_out(out_path):
+    """Open ``out_path`` for appending, which changes no byte of it, so an
+    unwritable path fails before any check runs; True if that made the file."""
+    made = not os.path.lexists(out_path)
+    try:
+        open(out_path, "ab").close()
+    except OSError as exc:
+        raise _cannot_write(out_path, exc) from None
+    return made
+
+
 def main(argv=None):
+    made = False  # a file --out made that a failed run must not leave behind
     try:
         args = _parse_args(argv)
         if args is None:
             return 0
+        out_path = getattr(args, "out", None)
+        made = out_path is not None and _claim_out(out_path)
         report = _COMMANDS[args.command].handler(args)
         output_format = "markdown" if getattr(args, "markdown", False) else "text"
-        render(report, "json" if args.json else output_format, getattr(args, "out", None))
+        render(report, "json" if args.json else output_format, out_path)
+        made = False
     except (UsageError, ValueError) as exc:  # FunctorRangeError is a ValueError
         print(f"flopcalc: error: {exc}", file=sys.stderr)
         return 2
@@ -344,6 +412,9 @@ def main(argv=None):
     except homalg.ChaseInconsistencyError as exc:
         print(f"flopcalc: inconsistent: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if made:
+            os.remove(out_path)
     return report.code
 
 

@@ -19,8 +19,6 @@ a single sheaf in degree 0; outside it ``FunctorRangeError`` is raised
 rather than extrapolating.
 """
 
-from __future__ import annotations
-
 import enum
 from collections import namedtuple
 

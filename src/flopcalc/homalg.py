@@ -43,8 +43,6 @@ the Ext^i(I, I) system.
 (('start', 'A^0', 'B^0', 'C^0', 'A^1'), (0, None, 5, 0, None), 5)
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import partial
 from itertools import chain, compress, repeat

@@ -47,8 +47,6 @@ Bott's tables, the last 2^16 tables by (n, j, k), and the last 2^10
 ``ModelVariety`` objects, one per (n, side).
 """
 
-from __future__ import annotations
-
 import enum
 from functools import lru_cache
 from math import comb

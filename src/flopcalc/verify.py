@@ -8,8 +8,6 @@ not a failure.  Suites are deterministic and idempotent: the report is a
 pure function of (check id, n).
 """
 
-from __future__ import annotations
-
 import enum
 import itertools
 from collections import namedtuple

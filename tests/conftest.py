@@ -1,6 +1,6 @@
 """Hypothesis profiles.  Tier-1 runs the default one; ``--hypothesis-profile=ci``
-gives the command-line parser's differential test (``test_cli_parser.py``) a few
-thousand examples."""
+gives the differential tests of the command-line parser (``test_cli_parser.py``)
+and of the JSON writer (``test_json_writer.py``) a few thousand examples."""
 
 from hypothesis import settings
 

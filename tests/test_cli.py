@@ -485,12 +485,43 @@ def test_empty_out_path_is_usage_error(capsys, argv):
     assert "--out" in err and err.count("\n") == 1
 
 
-def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
+def suite_that_must_not_run(*args):
+    raise AssertionError("a check ran though --out cannot be written")
+
+
+def test_unwritable_out_path_is_usage_error(capsys, monkeypatch, tmp_path):
+    # reported before any check runs
+    monkeypatch.setattr(verify, "run_all", suite_that_must_not_run)
+    monkeypatch.setattr(verify, "run_check", suite_that_must_not_run)
     path = tmp_path / "absent" / "report.md"
-    code, out, err = run(capsys, "verify", "lemma-1-3", "--markdown", "--out", str(path))
-    assert code == 2
-    assert out == ""
-    assert "--out" in err and err.count("\n") == 1
+    for argv in (["lemma-1-3", "--markdown"], ["all", "--max-n", "64", "--json"]):
+        code, out, err = run(capsys, "verify", *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("flopcalc: error: cannot write --out ") and err.count("\n") == 1
+        assert err.endswith(": No such file or directory\n")
+
+
+def huge_result(check_id, n):
+    return verify.CheckResult(check_id, n, verify.Status.PASS, {"x": 10 ** 5000})
+
+
+@pytest.mark.parametrize("existing", [b"kept\n", None], ids=["existing", "new"])
+@pytest.mark.parametrize("fails_in", ["handler", "render"])
+def test_failed_run_leaves_out_path_as_it_was(capsys, monkeypatch, tmp_path, existing, fails_in):
+    # README: nothing is written when a command fails
+    path = tmp_path / "report.md"
+    if existing is not None:
+        path.write_bytes(existing)
+    if fails_in == "handler":
+        argv = ["lemma-2-1", "--n", "5"]
+    else:
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no int-to-str digit limit")
+        monkeypatch.setattr(verify, "run_check", huge_result)
+        argv = ["lemma-1-3", "--json"]
+    code, out, err = run(capsys, "verify", *argv, "--out", str(path))
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert (path.read_bytes() if path.exists() else None) == existing
 
 
 def test_shared_parser_keeps_no_state(capsys):

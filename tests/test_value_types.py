@@ -175,6 +175,11 @@ def test_cli_import_loads_neither_argparse_nor_gettext():
     assert _loaded_by_cli_import("argparse", "gettext") == []
 
 
+def test_cli_import_loads_neither_json_nor_future():
+    # --json reports have a writer of their own, and no module has annotations
+    assert _loaded_by_cli_import("json", "__future__") == []
+
+
 def test_import_loads_only_the_module_named():
     # the package binds no name of its own, so importing one module loads no
     # other, and an engine name has one import path, through its module
