@@ -26,9 +26,23 @@ C(n + last, n) chi(w(last)) - C(n + first - 1, n) chi(w(first - 1)).
 cohomology_X, the line-bundle case w = O(k), sums over a in closed form and
 caches its tables by (n, j, k).  There mu = (a, 0, ..., 0), so step a sits
 in h^0 for a >= -k, in h^{n-1} for (-k - n) // 2 + 1 <= a <= -k - n, in h^n
-for a <= -((k + n) // 2) - 1 and nowhere else.  Each range lo..hi, clipped
+for a <= -((k + n) // 2) - 1 and nowhere else.  A range lo..hi, clipped
 to [0, j], adds (-1)^d (S(hi) - S(lo - 1)) in its degree d, with
-S(m) = C(n + m, n) C(n + m + k, n) and C(n + m, n) read as a polynomial in m.
+S(m) = C(n + m, n) C(n + m + k, n) and C(n + m, n) read as a polynomial in m,
+which is 0 at m = -1.  The h^0 range starts at lo = max(-k, 0), so one
+factor of S(lo - 1) sits at m = -1, and the h^n range starts at lo = 0, so
+S(lo - 1) = S(-1) = 0.  Each degree is thus one expression:
+
+  * h^0     = C(n + j, n) C(n + j + k, n)        when j + k >= 0;
+  * h^{n-1} = (-1)^{n-1} (S(hi) - S(lo - 1))     when lo <= hi, for
+              hi = min(-k - n, j) and lo = max((-k - n) // 2 + 1, 0);
+  * h^n     = (-1)^n S(hi)                       when hi >= 0, for
+              hi = min(j, -((k + n) // 2) - 1).
+
+In the last two, m + k < 0 at each end, so S(m)'s second factor is
+(-1)^n C(-m - k - 1, n) and its sign cancels (-1)^d's.  A class costs a
+fixed number of binomial coefficients and reaches no Pieri, Bott or Weyl
+code.
 
 For other weights the sum is evaluated at each a = 0..j, in one
 cohomology_sum call, except where t - a meets a fixed row: a row i >= 1
@@ -175,20 +189,23 @@ def _cohomology_coords(n, j, k):
         # cached: every partner that run_all(12) reflects is also looked up directly
         partner = _cohomology_coords(n, -n - 1 - j, -k).entries
         return CohomologyTable(tuple((2 * n - d, v) for d, v in reversed(partner)))
-    # degrees 0 < n - 1 < n ascend, and a non-empty range has a positive dim
+    # the per-degree forms of the module docstring, with top = -k - n and
+    # -((k + n) // 2) - 1 = (top - 1) // 2; degrees 0 < n - 1 < n ascend, and
+    # a non-empty range has a positive dim
     entries = []
-    for deg, lo, hi in ((0, -k, j), (n - 1, (-k - n) // 2 + 1, -k - n),
-                        (n, 0, -((k + n) // 2) - 1)):
-        lo, hi = max(lo, 0), min(hi, j)
-        if lo <= hi:
-            top, below = (_binom(n, a) * _binom(n, a + k) for a in (hi, lo - 1))
-            entries.append((deg, (-1) ** deg * (top - below)))
+    if j + k >= 0:
+        entries.append((0, comb(n + j, n) * comb(n + j + k, n)))
+    top = -k - n
+    lo, hi = top // 2 + 1, top if top < j else j
+    if lo <= hi:  # lo <= top forces lo >= 1, so max(lo, 0) = lo
+        entries.append((n - 1, comb(n + lo - 1, n) * comb(-lo - k, n)
+                        - comb(n + hi, n) * comb(-hi - k - 1, n)))
+    hi = (top - 1) // 2
+    if hi > j:
+        hi = j
+    if hi >= 0:  # then hi + k < 0
+        entries.append((n, comb(n + hi, n) * comb(-hi - k - 1, n)))
     return CohomologyTable(tuple(entries))
-
-
-def _binom(n, m):
-    """C(n + m, n) as a polynomial in m: 0 for -n <= m <= -1."""
-    return comb(n + m, n) if m >= 0 else (-1) ** n * comb(-m - 1, n)
 
 
 # the tables by (n, j, k), under a name tests rebind without touching cohomology_X

@@ -1,0 +1,62 @@
+"""Engine mutants, each caught by a check that shares no code with the engine.
+
+A mutant is one edit to the source text of an engine function.  The edited
+text is compiled in memory into a copy of the function's module namespace,
+so its own recursive calls reach the mutant, and ``monkeypatch`` binds it in
+place of the function; no source file is copied or written.  Each edit must
+match the source exactly once, so a mutant whose target text has changed
+fails here rather than silently testing the unmutated function.  A mutant
+comes with a fresh cache of its own, so no table the engine cached is read.
+
+A mutant that no check catches belongs here as a strict xfail, with its
+reason.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+from flopcalc import pbundle
+from riemann_roch import check_line_bundle_tables
+
+
+def mutate(monkeypatch, module, name, old, new):
+    """Bind ``module.name`` to its own source with ``old`` replaced by
+    ``new``, and return the mutant."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+    return namespace[name]
+
+
+# the per-degree forms of pbundle._cohomology_coords for j >= 0; the first
+# is caught by the Euler characteristic, the other two first by a zero dim
+TABLE_MUTANTS = {
+    "h0-guard-off-by-one": ("if j + k >= 0:", "if j + k >= 1:"),
+    "hn-bound-off-by-one": ("hi = (top - 1) // 2\n", "hi = (top - 1) // 2 + 1\n"),
+    "hn1-subtracts-S(lo)": ("comb(n + lo - 1, n) * comb(-lo - k, n)",
+                            "comb(n + lo, n) * comb(-lo - k - 1, n)"),
+}
+
+
+@pytest.mark.parametrize("old, new", TABLE_MUTANTS.values(), ids=TABLE_MUTANTS)
+def test_riemann_roch_catches_table_mutant(monkeypatch, old, new):
+    mutant = mutate(monkeypatch, pbundle, "_cohomology_coords", old, new)
+    monkeypatch.setattr(pbundle, "cohomology_coords", mutant)
+    with pytest.raises(AssertionError):
+        check_line_bundle_tables()
+
+
+def test_unmutated_copy_is_the_engine(monkeypatch):
+    # the control: the same compile-and-bind path with no edit changes nothing
+    engine = pbundle._cohomology_coords
+    copy = mutate(monkeypatch, pbundle, "_cohomology_coords", "if j + k >= 0:",
+                  "if j + k >= 0:")
+    assert copy is not engine
+    for n in range(2, 7):
+        for j in range(-3 * n - 3, 2 * n + 3):
+            for k in range(-2 * n - 3, 2 * n + 4):
+                assert copy(n, j, k) == engine(n, j, k), (n, j, k)

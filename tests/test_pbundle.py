@@ -1,7 +1,7 @@
 import hashlib
 import random
 from itertools import combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +33,7 @@ from flopcalc.pbundle import (
     cohomology_with_pullback_twist,
     hom_dims,
 )
+from riemann_roch import check_line_bundle_tables
 
 
 @pytest.fixture
@@ -330,6 +331,33 @@ def loop_sweep(n, pullback, j_max):
     return sweep
 
 
+# The three-range sum that the per-degree forms replaced, kept as the reference.
+
+
+def range_sum_coords(n, j, k):
+    """The table of O_X(j) (x) pi^*O(k): the band, the Serre reflection, and
+    for j >= 0 three ranges of a, each clipped to [0, j] and adding
+    (-1)^d (S(hi) - S(lo - 1)) in its degree d."""
+    if j < 0:
+        if j >= -n:
+            return EMPTY_TABLE
+        partner = range_sum_coords(n, -n - 1 - j, -k).entries
+        return CohomologyTable(tuple((2 * n - d, v) for d, v in reversed(partner)))
+    entries = []
+    for deg, lo, hi in ((0, -k, j), (n - 1, (-k - n) // 2 + 1, -k - n),
+                        (n, 0, -((k + n) // 2) - 1)):
+        lo, hi = max(lo, 0), min(hi, j)
+        if lo <= hi:
+            top, below = (binom_at(n, a) * binom_at(n, a + k) for a in (hi, lo - 1))
+            entries.append((deg, (-1) ** deg * (top - below)))
+    return CohomologyTable(tuple(entries))
+
+
+def binom_at(n, m):
+    """C(n + m, n) as a polynomial in m: 0 for -n <= m <= -1."""
+    return comb(n + m, n) if m >= 0 else (-1) ** n * comb(-m - 1, n)
+
+
 class TestClosedFormMatchesLoop:
     # The direct loop, with its fixed-row skip and Serre branch: against the
     # line-bundle closed form, which shares no Pieri or Bott code with it,
@@ -372,6 +400,31 @@ class TestClosedFormMatchesLoop:
         w = LeviWeight(n, tuple(sorted(entries, reverse=True)), t)
         expect = loop_sweep(n, (w,), abs(j))[j]
         assert cohomology_with_pullback_twist(j, w) == expect
+
+
+class TestPerDegreeFormsMatchTheRangeSum:
+    # The cached table against the three-range sum above, where an off-by-one
+    # in a guard or a bound would show first: at each end of each range, one
+    # step either side, on both Serre sides.
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_range_endpoints(self, n):
+        for k in range(-3 * n - 4, 3 * n + 5):
+            ends = (-k, -k - 1, -k - n, (-k - n) // 2, -((k + n) // 2) - 1)
+            for j in {e + d for e in ends for d in (-1, 0, 1)}:
+                for jj, kk in ((j, k), (-n - 1 - j, -k)):
+                    expect = range_sum_coords(n, jj, kk)
+                    assert pbundle._cohomology_coords(n, jj, kk) == expect, (n, jj, kk)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_huge_twists(self, n):
+        huge = [s * m for m in (10**9, 10**100) for s in (1, -1)]
+        shapes = set()
+        for j in (*huge, -1, -n):
+            for k in huge:
+                table = pbundle._cohomology_coords(n, j, k)
+                assert table == range_sum_coords(n, j, k), (n, j, k)
+                shapes.add(tuple(table.dims()))
+        assert {(), (0, n - 1, n), (n, n + 1, 2 * n)} <= shapes
 
 
 class TestHugeTwists:
@@ -503,34 +556,14 @@ class TestPrefixPath:
 
 
 class TestLineBundleTables:
-    # Every table cohomology_coords builds, against Riemann-Roch with no engine
-    # code: degrees strictly ascend within 0..2n, every dim is positive, and
-    # the alternating sum is C(n + j, n) C(n + j + k, n), with C(n + m, n) the
-    # polynomial (m + 1)...(m + n) / n!.  The box reaches j >= 0 with all three
-    # ranges of a (k <= -n - 2), the band, and j <= -n - 1, whose Serre partner
-    # (-n - 1 - j, -k) takes all three ranges at k >= n + 2.
     def test_degrees_ascend_dims_positive_euler_is_the_product(self):
-        for n in range(2, 41):
-            js, ks = range(-2 * n - 4, n + 4), range(-n - 4, n + 5)
-            c = {m: prod(range(m + 1, m + n + 1)) // factorial(n)
-                 for m in range(js[0] + ks[0], js[-1] + ks[-1] + 1)}
-            shapes = set()
-            for j in js:
-                for k in ks:
-                    entries = pbundle.cohomology_coords(n, j, k).entries
-                    degrees = tuple(d for d, _ in entries)
-                    assert list(degrees) == sorted(set(degrees)), (n, j, k)
-                    assert all(0 <= d <= 2 * n and v > 0 for d, v in entries), (n, j, k)
-                    assert sum((-1) ** d * v for d, v in entries) == c[j] * c[j + k], (n, j, k)
-                    shapes.add(degrees)
-            assert shapes == {(), (0,), (0, n - 1, n), (n - 1, n), (n,), (n, n + 1),
-                              (n, n + 1, 2 * n), (2 * n,)}, n
+        check_line_bundle_tables()
 
 
 class TestLineBundlesMatchDirectEvaluation:
-    # The generic path takes a line bundle with j > 2n, and its Serre partner,
-    # through a Pieri decomposition and a Bott evaluation at each step: no
-    # code shared with the three ranges.
+    # The generic path takes a line bundle, and its Serre partner, through a
+    # Pieri decomposition and a Bott evaluation at each step: no code shared
+    # with the per-degree forms.
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_past_the_loop_box(self, n):
         degrees = {0, n - 1, n, n + 1, 2 * n}
@@ -541,3 +574,17 @@ class TestLineBundlesMatchDirectEvaluation:
                 if j > 2 * n or j < -3 * n - 1:
                     expect = cohomology_with_pullback_twist(j, line_bundle(n, k))
                     assert table == expect, (n, j, k)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_three_ranges_on_both_serre_sides(self, n):
+        # k <= -n - 2 with j >= -k fills h^0, h^{n-1} and h^n, and the Serre
+        # partners of k >= n + 2, j <= -2n - 3 fill h^n, h^{n+1} and h^{2n}
+        shapes = set()
+        for k in range(-n - 5, n + 6):
+            pullback = line_bundle(n, k)
+            for j in range(-2 * n - 6, n + 6):
+                table = pbundle._cohomology_coords(n, j, k)
+                expect = cohomology_with_pullback_twist(j, pullback)
+                assert table.dims() == expect.dims(), (n, j, k)
+                shapes.add(tuple(table.dims()))
+        assert {(0, n - 1, n), (n, n + 1, 2 * n)} <= shapes
