@@ -10,12 +10,15 @@ JSON line.  Exit codes: 0 success / all checks pass, 1 any FAIL, 2
 malformed input (with a one-line diagnostic naming the offending token), 3
 any UNDERDETERMINED without a FAIL.
 
-Arguments are read from the table ``_COMMANDS`` as Python 3.11's argparse
-read them, diagnostics included: an option may be cut to a unique prefix
-(--wei) or take its value after "=", a negative number or a token with a
-space is a value, ``--`` ends the options, the last of a repeated flag wins,
-and an unknown option is named ahead of a missing flag.  Help (-h, --help,
---he), once reached, goes to stdout with unpinned bytes; ``main`` returns 0.
+Arguments are read from the table ``_COMMANDS``, left to right, by each
+subcommand's exact flag names.  A flag is spelled in full (--weight) or as
+-h.  A value flag takes its value after "=" or from the next token as
+written (--j -5), unless that token is a flag of the subcommand's own; a
+flag given twice is refused.  A token that does not start with "-" fills
+the positional; every other token is unrecognized, and unrecognized tokens
+are named together ahead of a missing flag.  Before a subcommand only -h or
+--help is read.  Help, once reached, goes to stdout with unpinned bytes;
+``main`` returns 0.
 """
 
 import os
@@ -180,22 +183,10 @@ def to_json(value):
     """The bytes ``json.dumps(value, sort_keys=True, separators=(",", ":"))``
     writes once every dict key is made ``str(key)`` (the last value wins
     when two keys make one string): ``ensure_ascii`` escapes, ints in
-    decimal.  Types are checked by identity first, for speed, then by
-    isinstance.  Text is joined with ``+``, never ``format``, so a
+    decimal.  Text is joined with ``+``, never ``format``, so a
     ``(str, Enum)`` member writes its value on every Python.  An int past
     the digit limit raises ValueError, and any other type (float too)
     TypeError."""
-    kind = type(value)
-    if kind is dict:
-        items = {str(key): item for key, item in value.items()}
-        return "{" + ",".join([_json_str(key) + ":" + to_json(items[key])
-                               for key in sorted(items)]) + "}"
-    if kind is list or kind is tuple:
-        return "[" + ",".join([to_json(item) for item in value]) + "]"
-    if kind is str:
-        return _json_str(value)
-    if kind is int:
-        return int.__repr__(value)
     if value is None:
         return "null"
     if value is True:
@@ -203,14 +194,16 @@ def to_json(value):
     if value is False:
         return "false"
     if isinstance(value, dict):
-        return to_json(dict(value.items()))
+        items = {str(key): item for key, item in value.items()}
+        return "{" + ",".join([_json_str(key) + ":" + to_json(items[key])
+                               for key in sorted(items)]) + "}"
     if isinstance(value, (list, tuple)):
-        return to_json([*value])
+        return "[" + ",".join([to_json(item) for item in value]) + "]"
     if isinstance(value, str):
         return _json_str(value)
     if isinstance(value, int):
         return int.__repr__(value)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _cannot_write(out_path, exc):
@@ -267,7 +260,6 @@ _COMMANDS = {name: Command(handler, text, positional, {
         "--markdown": Flag("markdown", bool, False, help="emit Markdown"),
         "--out": Flag("out", str, help="write the report to this path")}),
 ]}
-_TOP_HELP = {"-h", "--h", "--he", "--hel", "--help"}  # the help read before a subcommand
 
 
 def _help(name=None):
@@ -291,91 +283,62 @@ def _choice(name, choices, value):
     return value
 
 
-def _read_option(token, options):
-    """None for a value, else (option, its attached value or None), with
-    option None when ``token`` neither is nor abbreviates one of ``options``."""
-    if token[:1] != "-" or len(token) == 1:
-        return None
-    if token in options:
-        return token, None
-    name, eq, value = token.partition("=")
-    if eq and name in options:
-        return name, value
-    if token[1] != "-":  # a short option with its value attached
-        found = [(token[:2], token[2:])] if token[:2] in options else []
-    else:
-        found = [(option, value if eq else None) for option in options if option.startswith(name)]
-    if len(found) > 1:
-        raise UsageError(f"ambiguous option: {token} could match {', '.join(o for o, _ in found)}")
-    if found:
-        return found[0]
-    # a negative number or a token with a space is a value
-    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
-
-
 def _parse_command(name, tokens):
     """The arguments of subcommand ``name``, or None once help is written."""
-    options, positional = _COMMANDS[name].flags, _COMMANDS[name].positional
-    cut = tokens.index("--") if "--" in tokens else len(tokens)  # "--" and all after it are values
-    read = [_read_option(token, options) for token in tokens[:cut]] + [None] * (len(tokens) - cut)
-    values = {flag.dest: flag.default for flag in options.values() if flag.kind}
-    extras, i = [], 0
+    flags, positional = _COMMANDS[name].flags, _COMMANDS[name].positional
+    values = {flag.dest: flag.default for flag in flags.values() if flag.kind}
+    given, extras, i = set(), [], 0
     while i < len(tokens):
-        at, i = i, i + 1
-        option, value = read[at] or (None, None)
-        flag = options.get(option)
-        if read[at] is None and positional and not at == cut == len(tokens) - 1:
-            # the positional takes a value and a "--" just before or after it
-            at += at == cut
-            values[positional[0]], positional = _choice(*positional, tokens[at]), None
-            i = at + 1 + (at + 1 == cut)
-        elif flag is None:
-            extras.append(tokens[at])
-        else:
-            if flag.kind in (int, str) and value is None:
-                if i in (len(tokens), cut) or read[i] is not None:
-                    raise UsageError(f"argument {option}: expected one argument")
-                value, i = tokens[i], i + 1
-            elif flag.kind in (bool, None) and value is not None:
-                rest = value.lstrip("h") if option == "-h" else value  # -hh reads as -h -h
-                if rest or not value:
-                    named = "/".join(other for other in options if options[other] is flag)
-                    raise UsageError(f"argument {named}: ignored explicit argument {rest!r}")
-            if flag is _HELP:
-                sys.stdout.write(_help(name))
-                return None
-            if flag.kind is int:  # a ValueError, which main reports as a usage error
-                value = read_int(value, f"argument {option}: invalid int value: "
-                                 f"{shorten(value, repr)}", f"argument {option}: an integer")
-            values[flag.dest] = True if flag.kind is bool else _choice(option, flag.choices, value)
-    missing = [*(positional or ())[:1], *(option for option, flag in options.items()
+        token, i = tokens[i], i + 1
+        if not token.startswith("-"):
+            if positional:
+                values[positional[0]], positional = _choice(*positional, token), None
+            else:
+                extras.append(token)
+            continue
+        option, eq, value = token.partition("=")
+        flag = flags.get(option)
+        if flag is None:
+            extras.append(token)
+            continue
+        if flag.dest in given:
+            raise UsageError(f"argument {option}: given more than once")
+        given.add(flag.dest)
+        if flag.kind in (int, str) and not eq:
+            # the next token is the value, unless it is a flag of this subcommand
+            if i == len(tokens) or tokens[i].partition("=")[0] in flags:
+                raise UsageError(f"argument {option}: expected one argument")
+            value, i = tokens[i], i + 1
+        elif flag.kind in (bool, None) and eq:
+            named = "/".join(other for other in flags if flags[other] is flag)
+            raise UsageError(f"argument {named}: ignored explicit argument {value!r}")
+        if flag is _HELP:
+            sys.stdout.write(_help(name))
+            return None
+        if flag.kind is int:  # a ValueError, which main reports as a usage error
+            value = read_int(value, f"argument {option}: invalid int value: "
+                             f"{shorten(value, repr)}", f"argument {option}: an integer")
+        values[flag.dest] = True if flag.kind is bool else _choice(option, flag.choices, value)
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(map(shorten, extras))}")
+    missing = [*(positional or ())[:1], *(option for option, flag in flags.items()
                                           if flag.required and values[flag.dest] is None)]
     if missing:
-        # an unknown option is named ahead of a missing flag, but not one such
-        # as -=x: argparse's route read its name before "=" as every option's prefix
-        unknown = [token for token, how in zip(tokens, read)
-                   if how == (None, None) and token[1] != "="]
-        raise UsageError(f"unrecognized arguments: {shorten(unknown[0])}" if unknown else
-                         f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(command=name, **values)
 
 
 def _parse_args(argv):
     """The parsed arguments, or None once help is written to stdout."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _COMMANDS:
-        return _parse_command(argv[0], argv[1:])
-    for token in argv:
-        if token in _COMMANDS:
-            break
-        if token.startswith("-") and token not in _TOP_HELP:
-            raise UsageError(f"unrecognized arguments: {shorten(token)}")
     if not argv:
         raise UsageError("the following arguments are required: command")
-    if argv[0] not in _TOP_HELP:
-        _choice("command", _COMMANDS, argv[0])
+    if argv[0] in _COMMANDS:
+        return _parse_command(argv[0], argv[1:])
+    if argv[0] not in ("-h", "--help"):
+        if argv[0].startswith("-"):
+            raise UsageError(f"unrecognized arguments: {shorten(argv[0])}")
+        _choice("command", _COMMANDS, argv[0])  # not a subcommand, so it raises
     sys.stdout.write(_help())
     return None
 
@@ -416,7 +379,3 @@ def main(argv=None):
         if made:
             os.remove(out_path)
     return report.code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

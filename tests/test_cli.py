@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-import argparse_oracle
-from flopcalc import cli, homalg, verify
+import cli_grammar
+from flopcalc import homalg, verify
 from flopcalc.cli import main
 from test_cli_corpus import CORPUS
 
@@ -297,7 +297,7 @@ def test_overlong_max_n_is_not_echoed(capsys, value, shown):
     (["bott", "--foo"], "--foo"),
     (["bott", "-x"], "-x"),
     (["bott", "--foo=1", "--n", "2"], "--foo=1"),
-    (["bott", "--wei", "0,0|0", "--foo"], "--foo"),
+    (["bott", "--wei", "0,0|0", "--foo"], "--wei 0,0|0 --foo"),
     (["cohomology", "--j", "-3", "--bogus", "--k", "-1000000"], "--bogus"),
     (["functor", "-z" * 40], "-z-z-z-z-z-z-z-z-z-z... (80 characters)"),
 ], ids=["before", "after", "config-before", "config-after", "alone", "overlong",
@@ -305,30 +305,31 @@ def test_overlong_max_n_is_not_echoed(capsys, value, shown):
         "after-abbreviation-missing-flag", "after-negative-missing-flag",
         "overlong-missing-flags"])
 def test_unknown_option_is_named(capsys, argv, named):
-    # argparse alone would blame another token or none: before the subcommand
-    # it passes over an unknown option and reads the token after it as the
-    # subcommand; after it, it reports missing required flags first
+    # before the subcommand the first token is named; after it every
+    # unrecognized token is, ahead of the required flags that are missing
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"flopcalc: error: unrecognized arguments: {named}\n"
 
 
-@pytest.mark.parametrize("argv, missing", [
-    (["bott", "--n", "2"], "--weight"),
-    (["bott", "--wei", "0,0|0"], "--n"),
-    (["bott", "--weight=-1,0|0"], "--n"),
-    (["bott", "--weight", "-1, 0|0"], "--n"),
-    (["cohomology", "--n=2", "--j", "-3"], "--k"),
-    (["cohomology", "--j", "-3", "--k", "-1000000"], "--n"),
-    (["functor", "--n", "2", "--j", "0", "--", "phi", "-x"], "--k"),
+REQUIRED = "the following arguments are required: "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bott", "--n", "2"], REQUIRED + "--weight"),
+    (["bott", "--wei", "0,0|0"], "unrecognized arguments: --wei 0,0|0"),
+    (["bott", "--weight=-1,0|0"], REQUIRED + "--n"),
+    (["bott", "--weight", "-1, 0|0"], REQUIRED + "--n"),
+    (["cohomology", "--n=2", "--j", "-3"], REQUIRED + "--k"),
+    (["cohomology", "--j", "-3", "--k", "-1000000"], REQUIRED + "--n"),
+    (["functor", "--n", "2", "--j", "0", "--", "phi", "-x"], "unrecognized arguments: -- -x"),
 ], ids=["plain", "abbreviation", "equals", "space", "n-equals", "negatives", "after-dashes"])
-def test_missing_flag_without_unknown_option(capsys, argv, missing):
-    # a negative number, a token with a space and a token after "--" are values
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"flopcalc: error: the following arguments are required: {missing}\n"
+def test_missing_flag_without_unknown_option(capsys, argv, message):
+    # a value flag's value is the next token as written (a negative number, a
+    # token with a space) or its "=" part; a prefix of a flag and "--" are
+    # unrecognized tokens, named ahead of the missing flag
+    assert run(capsys, *argv) == (2, "", f"flopcalc: error: {message}\n")
 
 
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
@@ -430,7 +431,8 @@ def test_short_invalid_choice_keeps_the_argparse_message(capsys):
     assert "argument name: invalid choice: 'xyz'" in err
 
 
-# argparse's texts, kept on every Python version
+# argparse's texts where the grammar kept them; the ids name each argv as
+# argparse read it, and the grammar refuses a prefix, "--" and "-hx"
 DIAGNOSTICS = [
     ([], "the following arguments are required: command"),
     (["x"], "argument command: invalid choice: 'x' (choose from 'bott', 'cohomology', "
@@ -440,16 +442,17 @@ DIAGNOSTICS = [
     (["functor", "--n", "2", "--j", "0", "--k", "0"], "the following arguments are required: name"),
     (["cohomology", "--n", "2", "--j", "x", "--k", "0"], "argument --j: invalid int value: 'x'"),
     (["koszul", "--n"], "argument --n: expected one argument"),
-    (["koszul", "--n", "--", "2"], "argument --n: expected one argument"),
-    (["verify", "all", "--m", "3"], "ambiguous option: --m could match --max-n, --markdown"),
+    (["koszul", "--n", "--", "2"], "argument --n: invalid int value: '--'"),
+    (["verify", "all", "--m", "3"], "unrecognized arguments: --m 3"),
     (["verify", "all", "--json=1"], "argument --json: ignored explicit argument '1'"),
-    (["bott", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["bott", "-hx"], "unrecognized arguments: -hx"),
     (["functor", "xyz", "--n", "2", "--j", "0", "--k", "0"],
      "argument name: invalid choice: 'xyz' (choose from 'phi', 'phiprime', 'psi')"),
     (["koszul", "--n", "2", "--", "x"], "unrecognized arguments: -- x"),
     (["verify", "x", "y", "--", "z"], "unrecognized arguments: y -- z"),
-    (["verify", "--", "--json"],
-     "unknown check '--json'; known: all, " + ", ".join(verify.ALL_CHECK_IDS)),
+    (["verify", "--", "--json"], "unrecognized arguments: --"),
+    (["--he"], "unrecognized arguments: --he"),
+    (["koszul", "--n", "--json"], "argument --n: expected one argument"),
 ]
 
 
@@ -457,7 +460,8 @@ DIAGNOSTICS = [
         "no-command", "bad-command", "required-flags", "required-check", "required-name",
         "invalid-int", "expected-one", "expected-one-before-dashes", "ambiguous",
         "ignored-explicit", "ignored-after-h", "invalid-choice", "dashes-extra",
-        "extras-around-dashes", "option-after-dashes-is-a-value"])
+        "extras-around-dashes", "option-after-dashes-is-a-value", "help-prefix",
+        "expected-one-before-flag"])
 def test_parse_diagnostics(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"flopcalc: error: {message}\n")
 
@@ -471,10 +475,15 @@ def test_explicit_double_dash_is_a_value(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"flopcalc: error: {message}\n")
 
 
-def test_repeated_flag_keeps_its_last_value(capsys):
-    code, out, _ = run(capsys, "koszul", "--n", "9", "--n=2", "--json", "--json")
-    assert code == 0
-    assert json.loads(out)["terms"][0]["p"] == 2
+@pytest.mark.parametrize("argv, flag", [
+    (["koszul", "--n", "9", "--n=2"], "--n"),
+    (["koszul", "--n", "2", "--json", "--json"], "--json"),
+    (["verify", "all", "--max-n=2", "--out", "a.md", "--out=b.md"], "--out"),
+], ids=["value", "bool", "str"])
+def test_repeated_flag_is_refused(capsys, argv, flag):
+    # no flag is silently ignored, so a second value does not replace the first
+    message = f"argument {flag}: given more than once"
+    assert run(capsys, *argv) == (2, "", f"flopcalc: error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [["--out="], ["--out", ""]], ids=["equals", "separate"])
@@ -561,13 +570,16 @@ def test_module_entry_point():
     assert json.loads(proc.stdout) == {"n": 2, "dims": {"0": 8}}
 
 
-def test_help_is_written_to_stdout():
+def test_help_is_written_to_stdout(capsys):
     # help bytes are not pinned: each call exits 0 with help on stdout alone
-    for argv in [["--help"], ["--he"]] + [[cmd, flag] for cmd in SUBCOMMANDS
-                                          for flag in ("--help", "-h")]:
-        proc = run_module(*argv, timeout=60)
-        assert (proc.returncode, proc.stderr) == (0, ""), argv
-        assert proc.stdout.startswith("usage: flopcalc"), argv
+    for argv in [["--help"], ["-h"]] + [[cmd, flag] for cmd in SUBCOMMANDS
+                                        for flag in ("--help", "-h")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("usage: flopcalc"), argv
+    proc = run_module("--help", timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: flopcalc")
 
 
 def test_huge_twist_finishes():
@@ -577,7 +589,8 @@ def test_huge_twist_finishes():
     assert sorted(json.loads(proc.stdout)["dims"]) == ["0", "2", "3"]
 
 
-# argvs pinned against the argparse parser the command line was built on
+# argvs pinned against the argparse parser the command line was built on; the
+# grammar refuses the prefixes (--he, --js) and the "--" of some of them
 SUBCOMMANDS = ["bott", "cohomology", "functor", "flop", "koszul", "ext", "verify"]
 ROUTE_ARGVS = [case["argv"] for case in CORPUS] + [
     [cmd, flag] for cmd in SUBCOMMANDS for flag in ("--help", "-h")
@@ -610,21 +623,8 @@ ROUTE_ARGVS = [case["argv"] for case in CORPUS] + [
 ]
 
 
-# the oracle is Python 3.11's argparse, whose "--" handling changed in later
-# 3.12 and 3.13 releases; the pinned cases above and the corpus run everywhere
-argparse_311 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
-                                  reason="the argparse oracle is Python 3.11's argparse")
-
-
-def test_each_subcommand_has_its_parser():
-    # one table entry per subcommand, in the order of the argparse parsers
-    assert list(cli._COMMANDS) == SUBCOMMANDS == list(argparse_oracle.build_parser().subcommands)
-
-
-@argparse_311
 @pytest.mark.parametrize("argv", ROUTE_ARGVS, ids=[" ".join(a) for a in ROUTE_ARGVS])
 def test_subcommand_route_matches_top_level_parser(argv):
-    # each pinned argv parses as argparse's top-level parser alone parses it,
-    # without the routing and unknown-option checks the package's parser
-    # reproduces (tests/test_cli_parser.py checks those)
-    argparse_oracle.assert_same_outcome(argv, argparse_oracle.top_level)
+    # each pinned argv, read by the subcommand's loop in cli, gives the bytes
+    # of the grammar as tests/cli_grammar.py writes it out from the top level
+    cli_grammar.assert_same_outcome(argv)
