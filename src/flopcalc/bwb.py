@@ -33,7 +33,6 @@ never calls them on a checked type).  ``pbundle.ModelVariety`` says why two
 of them are ``__slots__`` classes instead.
 """
 
-import re
 from collections import namedtuple
 from functools import lru_cache
 from math import comb
@@ -52,7 +51,7 @@ class LeviWeight(namedtuple("LeviWeight", "n lam t")):
         if len(lam) != n:
             raise ValueError(f"weight vector has length {len(lam)}, expected n={n}")
         if lam != tuple(sorted(lam, reverse=True)):
-            raise ValueError(f"weight vector {lam} is not non-increasing")
+            raise ValueError(f"weight vector {shorten(str(lam))} is not non-increasing")
         return tuple.__new__(cls, (n, lam, t))
 
     def literal(self):
@@ -73,15 +72,19 @@ def shorten(text, show=str):
 
 
 def read_int(token, invalid, too_long="an integer"):
-    """The int of ``[+-]`` and ASCII digits amid whitespace, else a ValueError
-    saying ``invalid``, so ``1_0`` and non-ASCII digits are refused; past the
-    int-to-str digit limit, ``too_long`` "of N characters, too long to read".
+    """The int of ``[+-]`` and ASCII digits amid ``str.strip`` whitespace, else
+    a ValueError saying ``invalid``, so ``1_0`` and non-ASCII digits are
+    refused; past the int-to-str digit limit, ``too_long`` "of N characters,
+    too long to read".  ``tests/test_read_int.py`` is its reference test.
 
     >>> read_int("1_0", "not an integer")
     Traceback (most recent call last):
     ValueError: not an integer
     """
-    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", token):
+    digits = token.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(invalid)
     try:
         return int(token)

@@ -22,7 +22,6 @@ are named together ahead of a missing flag.  Before a subcommand only -h or
 """
 
 import os
-import re
 import sys
 from collections import Counter, namedtuple
 from types import SimpleNamespace
@@ -159,24 +158,11 @@ def _cmd_verify(args):
     return Report(payload, text, markdown, verify.exit_code(results))
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
-            "\t": "\\t"}
-
-
-def _escape(match):
-    char = match.group()
-    if char in _ESCAPES:
-        return _ESCAPES[char]
-    code = ord(char) - 0x10000
-    if code < 0:  # a BMP character or a lone surrogate, as itself
-        return "\\u%04x" % ord(char)
-    return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
-
-
 def _json_str(text):
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return '"' + text + '"'
-    return '"' + re.sub(r'[\\"]|[^ -~]', _escape, text) + '"'
+    import json  # only text that needs an escape pays for the import
+    return json.dumps(text)
 
 
 def to_json(value):

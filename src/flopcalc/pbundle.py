@@ -71,6 +71,7 @@ from .bwb import (
     cohomology_sum,
     dual,
     form_bundle,
+    shorten,
     tensor_with_sym,
 )
 
@@ -125,7 +126,7 @@ def _model_variety(n, side):
     """The one ModelVariety per (n, side); typed, so ModelVariety(2.0).n is
     the 2.0 passed, not a cached 2."""
     if n < 2:
-        raise ValueError(f"the model needs n >= 2, got n={n}")
+        raise ValueError(f"the model needs n >= 2, got n={shorten(str(n))}")
     variety = object.__new__(ModelVariety)
     object.__setattr__(variety, "n", n)
     object.__setattr__(variety, "side", side)

@@ -13,7 +13,8 @@ required flag.  Errors inside the flags come in argv order.
 ``parse_args`` applies these rules in two passes (pair each flag with its
 value, then read the pairs), where ``cli`` reads the argv in one loop; it
 shares with ``cli`` only the flag table, the help text, the choice check
-and ``read_int``.  ``run`` and ``assert_same_outcome`` run ``cli.main`` on
+and ``read_int``, which ``test_read_int.py`` checks against a reference of
+its own.  ``run`` and ``assert_same_outcome`` run ``cli.main`` on
 either parser.  ``commands`` draws a subcommand's arguments, ``spellings``
 writes them in any order and form the grammar accepts, and ``mutated``
 edits such an argv into mostly malformed ones.

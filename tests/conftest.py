@@ -1,6 +1,7 @@
 """Hypothesis profiles.  Tier-1 runs the default one; ``--hypothesis-profile=ci``
-gives the property tests of the command-line grammar (``test_cli_parser.py``)
-and of the JSON writer (``test_json_writer.py``) a few thousand examples."""
+gives the property tests of the command-line grammar (``test_cli_parser.py``),
+of the JSON writer (``test_json_writer.py``) and of the integer reader
+(``test_read_int.py``) a few thousand examples."""
 
 from hypothesis import settings
 

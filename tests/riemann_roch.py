@@ -4,8 +4,7 @@
 It reads the tables through ``pbundle.cohomology_coords``, so a test that
 rebinds that name checks the function it put there."""
 
-from math import factorial, prod
-
+from euler_reference import binom_poly
 from flopcalc import pbundle
 
 
@@ -13,13 +12,13 @@ def check_line_bundle_tables():
     """Every table cohomology_coords builds, against Riemann-Roch with no
     engine code: degrees strictly ascend within 0..2n, every dim is positive,
     and the alternating sum is C(n + j, n) C(n + j + k, n), with C(n + m, n)
-    the polynomial (m + 1)...(m + n) / n!.  The box reaches j >= 0 with all
-    three ranges of a (k <= -n - 2), the band, and j <= -n - 1, whose Serre
-    partner (-n - 1 - j, -k) takes all three ranges at k >= n + 2."""
+    the polynomial in m (``euler_reference.binom_poly``).  The box reaches
+    j >= 0 with all three ranges of a (k <= -n - 2), the band, and
+    j <= -n - 1, whose Serre partner (-n - 1 - j, -k) takes all three ranges
+    at k >= n + 2."""
     for n in range(2, 41):
         js, ks = range(-2 * n - 4, n + 4), range(-n - 4, n + 5)
-        c = {m: prod(range(m + 1, m + n + 1)) // factorial(n)
-             for m in range(js[0] + ks[0], js[-1] + ks[-1] + 1)}
+        c = {m: binom_poly(n + m, n) for m in range(js[0] + ks[0], js[-1] + ks[-1] + 1)}
         shapes = set()
         for j in js:
             for k in ks:

@@ -405,6 +405,31 @@ def test_overlong_input_is_not_echoed(capsys, argv):
     assert "... (43" in err
 
 
+SMALL_N = "-" + "9" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv, tail",
+    [
+        (["koszul", "--n", SMALL_N], "(3001 characters)"),
+        (["verify", "lemma-3-4", "--n", SMALL_N], "(3001 characters)"),
+        (["flop", "picard", "--n", SMALL_N], "(3001 characters)"),
+        (["ext", "oy-oy", "--n", SMALL_N], "(3001 characters)"),
+        (["cohomology", "--n", SMALL_N, "--j", "0", "--k", "0"], "(3001 characters)"),
+        (["bott", "--n", "2002", "--weight", "0,1" + ",0" * 2000 + "|0"],
+         "(6006 characters) is not non-increasing"),
+    ],
+    ids=["koszul", "verify", "flop", "ext", "cohomology", "bott-order"],
+)
+def test_overlong_value_in_an_engine_diagnostic_is_shortened(capsys, argv, tail):
+    # the value passes the parser, and the engine's own check names it
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 120
+    assert err.endswith(tail + "\n")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

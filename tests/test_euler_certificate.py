@@ -20,12 +20,13 @@ n; it does not replace it.
 """
 
 import ast
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
 
 import pytest
 
+from euler_reference import chi_on_x, weyl_chi
 from flopcalc.bwb import LeviWeight, bott_cohomology, exterior_power_theta, form_bundle
 from flopcalc.pbundle import cohomology_with_pullback_twist
 
@@ -37,40 +38,27 @@ ALLOWED = {
 }
 
 
-def weyl_chi(lam, t):
-    """chi(P^n, S_lam Q (x) O(-t)), Weyl's product at the unsorted beta."""
-    n = len(lam)
-    beta = [a + n - i for i, a in enumerate(lam)] + [t]
-    num = den = 1
-    for i, l in combinations(range(n + 1), 2):
-        num *= beta[i] - beta[l]
-        den *= l - i
-    chi, rem = divmod(num, den)
-    assert not rem, (lam, t)
-    return chi
-
-
-def chi_on_x(j, lam, t):
-    """chi(X, O_X(j) (x) pi^*F), F = S_lam Q (x) O(-t) on P^n, by the three
-    branches of the module docstring."""
-    n = len(lam)
-    if j >= 0:
-        return comb(n + j, n) * weyl_chi(lam, t - j)
-    if j >= -n:
-        return 0
-    return chi_on_x(-n - 1 - j, tuple(-a for a in reversed(lam)), -t)
+def flopcalc_imports(path):
+    """The ``import flopcalc...`` modules and ``from flopcalc... import``
+    (module, name) pairs of the Python file at ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    plain = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names if alias.name.split(".")[0] == "flopcalc"]
+    froms = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "flopcalc"
+             for alias in node.names]
+    return plain, froms
 
 
 def test_imports_only_the_checked_functions_and_value_constructors():
-    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
-    plain = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-             for alias in node.names]
-    assert not [m for m in plain if m.split(".")[0] == "flopcalc"]
-    froms = [(node.module, alias.name) for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "flopcalc"
-             for alias in node.names]
+    plain, froms = flopcalc_imports(Path(__file__))
+    assert not plain
     assert froms
     assert [(m, name) for m, name in froms if name not in ALLOWED.get(m, ())] == []
+
+
+def test_reference_imports_nothing_from_the_package():
+    assert flopcalc_imports(Path(__file__).with_name("euler_reference.py")) == ([], [])
 
 
 def test_weyl_chi_anchors():

@@ -1,12 +1,13 @@
 import hashlib
 import random
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from euler_reference import binom_poly, chi_box, chi_sym
 from flopcalc import bwb, flop, homalg, pbundle
 from flopcalc.bwb import (
     EMPTY_TABLE,
@@ -39,44 +40,6 @@ from riemann_roch import check_line_bundle_tables
 @pytest.fixture
 def v2():
     return ModelVariety(2)
-
-
-# Riemann-Roch on the base, sharing no code with the engine:
-# chi(P^n, O(m)) = C(m + n, n) as a polynomial in m, and the Euler sequence
-# gives chi(Sym^a Theta(k)) = C(n+a, n) chi(O(a+k)) - C(n+a-1, n) chi(O(a-1+k)).
-# chi(X, O(j) (x) pi^*O(k)) = sum over a <= j of those, continued to j < 0
-# as the polynomial it is (the empty sum at j = -1).
-
-
-def binom_poly(m, r):
-    num = 1
-    for i in range(r):
-        num *= m - i
-    return num // factorial(r)
-
-
-def chi_sym(n, a, k):
-    return (binom_poly(n + a, n) * binom_poly(a + k + n, n)
-            - binom_poly(n + a - 1, n) * binom_poly(a - 1 + k + n, n))
-
-
-def chi_box(n, js, ks):
-    """chi(X, O(j) (x) pi^*O(k)) for j over js and k in ks, by the sum above.
-
-    The sums over a run upward from a = 0 and downward from a = -1 as
-    prefix sums, so the box costs one chi_sym per (j, k), not |j| of them.
-    """
-    chi = {}
-    for k in ks:
-        total = 0
-        for j in range(0, max(js) + 1):
-            total += chi_sym(n, j, k)
-            chi[j, k] = total
-        total = 0
-        for j in range(-1, min(js) - 1, -1):
-            chi[j, k] = total
-            total -= chi_sym(n, j, k)
-    return chi
 
 
 class TestCohomologyXRegression:
@@ -348,14 +311,9 @@ def range_sum_coords(n, j, k):
                         (n, 0, -((k + n) // 2) - 1)):
         lo, hi = max(lo, 0), min(hi, j)
         if lo <= hi:
-            top, below = (binom_at(n, a) * binom_at(n, a + k) for a in (hi, lo - 1))
+            top, below = (binom_poly(n + a, n) * binom_poly(n + a + k, n) for a in (hi, lo - 1))
             entries.append((deg, (-1) ** deg * (top - below)))
     return CohomologyTable(tuple(entries))
-
-
-def binom_at(n, m):
-    """C(n + m, n) as a polynomial in m: 0 for -n <= m <= -1."""
-    return comb(n + m, n) if m >= 0 else (-1) ** n * comb(-m - 1, n)
 
 
 class TestClosedFormMatchesLoop:

@@ -2,10 +2,12 @@
 with stable reprs (error messages such as KoszulResolution's embed them)
 and with their constructors' checks."""
 
+import marshal
 import pickle
 import subprocess
 import sys
 from pathlib import Path
+from textwrap import dedent
 
 import pytest
 
@@ -23,6 +25,7 @@ from flopcalc.homalg import (
 )
 from flopcalc.pbundle import ModelVariety, Side, XLineBundle
 from flopcalc.verify import CheckResult, Status
+from test_cli_corpus import CORPUS
 
 WEIGHT = LeviWeight(2, (1, 0), -1)
 SYSTEM = ChaseSystem("s", ("A", "B"), (0, None))
@@ -155,15 +158,25 @@ def test_check_result_evidence_defaults_to_a_fresh_dict():
     assert first.evidence is not second.evidence
 
 
-def _loaded_by_cli_import(*modules):
-    """Which of ``modules`` a fresh ``import flopcalc.cli`` loads; -S runs
-    without site, which may import modules of its own."""
+def _loaded_by_cli_import(*modules, argvs=()):
+    """Which of ``modules`` are loaded after a fresh ``import flopcalc.cli``
+    and a ``cli.main`` run of each of ``argvs``, whose output is dropped; -S
+    runs without site, which may import modules of its own.  The argvs come
+    through the built-in ``marshal``, so reading them loads nothing."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import flopcalc.cli; "
-            f"print(*sorted({set(modules)!r} & set(sys.modules)))")
+    code = dedent(f"""
+        import marshal, os, sys
+        sys.path.insert(0, sys.argv[1])
+        from flopcalc import cli
+        shown = sys.stdout
+        sys.stdout = sys.stderr = open(os.devnull, "w")
+        for argv in marshal.loads(sys.stdin.buffer.read()):
+            cli.main(argv)
+        print(*sorted({set(modules)!r} & set(sys.modules)), file=shown)""")
     done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
-                          capture_output=True, text=True, timeout=60, check=True)
-    return done.stdout.split()
+                          input=marshal.dumps([list(argv) for argv in argvs]),
+                          capture_output=True, timeout=60, check=True)
+    return done.stdout.decode().split()
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -178,6 +191,13 @@ def test_cli_import_loads_neither_argparse_nor_gettext():
 def test_cli_import_loads_neither_json_nor_future():
     # --json reports have a writer of their own, and no module has annotations
     assert _loaded_by_cli_import("json", "__future__") == []
+
+
+def test_corpus_runs_load_neither_json_nor_re():
+    # integers are read with str methods, and no corpus output holds text
+    # that needs an escape, the only text the writer hands to json
+    argvs = [case["argv"] for case in CORPUS]
+    assert _loaded_by_cli_import("json", "re", argvs=argvs) == []
 
 
 def test_import_loads_only_the_module_named():
