@@ -9,7 +9,6 @@ pure function of (check id, n).
 """
 
 import enum
-import itertools
 from collections import namedtuple
 
 from . import flop, homalg, pbundle
@@ -203,63 +202,50 @@ def _witness_pairs(n):
                 yield a, bj * side + bk
 
 
-def _first_pair_of_each_key(points):
-    """Index pairs (a, b) into ``points``, in the order of all pairs, that
-    are the first to show their key (b - a, psi(b) - psi(a))."""
-    seen = set()
-    for ia, ib in itertools.product(range(len(points)), repeat=2):
-        (aj, ak, paj, pak), (bj, bk, pbj, pbk) = points[ia], points[ib]
-        key = (bj - aj, bk - ak, pbj - paj, pbk - pak)
-        if key not in seen:
-            seen.add(key)
-            yield ia, ib
-
-
 def verify_prop_3_5(n):
     """Hom tables are preserved degree-wise across the second functor.
 
     Hom^i(a, b) is the cohomology of b - a, so a pair's verdict is fixed by
-    the key (b - a, psi(b) - psi(a)); comparing the tables once, at the
-    first pair that shows a key, therefore decides every pair with that key.
+    its two differences b - a and psi(b) - psi(a); both tables are read at
+    those coordinates, from the (j, k) of each class and of its image.
 
     The images are first checked, in exact integers, to be affine on the
     rectangle: psi(c) = psi(corner) + (c.j + n) u + (c.k + n) v, with u and
-    v the image steps from the corner (-n, -n) along j and along k.  Then
-    the key is a function of b - a alone, and the first pair of each
-    difference is its witness, the pair with min(a.j, b.j) = min(a.k, b.k)
-    = -n.  Only those (2n + 1)^2 pairs are compared, in the order of all
-    pairs, so the first failing pair is the one the full loop reports.
-    When psi is not affine, two pairs with one difference can have
-    different image differences, and the first failing pair need not be a
-    witness; then every pair is visited.  psi preserves chi on all of Pic:
-    on all three branches chi(O_X(j, k)) is the polynomial
+    v the image steps from the corner (-n, -n) along j and along k.  The
+    first class, in rectangle order, whose image is off that fit is a FAIL
+    naming the class, its image and the fit: such a map is not the
+    pushpull, and serre-3-6 fails it too, since its check forces
+    psi(c) = pic(c + omega) - omega+.  On an affine psi, psi(b) - psi(a) is
+    a function of b - a alone, and the first pair of each difference is
+    its witness, the pair with min(a.j, b.j) = min(a.k, b.k) = -n.  Only
+    those (2n + 1)^2 pairs are compared, in the order of all pairs, so the
+    first failing pair is the one the full loop reports.  psi preserves chi
+    on all of Pic: on all three branches chi(O_X(j, k)) is the polynomial
     C(n + j, n) C(n + j + k, n), whose factors (j, k) -> (j + k, -k) swaps.
     """
     omega_prime = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
-    images = [flop.apply_psi(c) for c in omega_prime]
-    points = [(c.j, c.k, im.j, im.k) for c, im in zip(omega_prime, images)]
+    points = [
+        (c.j, c.k, im.j, im.k) for c, im in zip(omega_prime, map(flop.apply_psi, omega_prime))
+    ]
     _, _, j0, k0 = points[0]
     uj, uk = points[n + 1][2] - j0, points[n + 1][3] - k0
     vj, vk = points[1][2] - j0, points[1][3] - k0
-    affine = all(
-        pj == j0 + (cj + n) * uj + (ck + n) * vj and pk == k0 + (cj + n) * uk + (ck + n) * vk
-        for cj, ck, pj, pk in points
-    )
-    # the witness pairs have distinct differences, so no key repeats among them
-    pairs = _witness_pairs(n) if affine else _first_pair_of_each_key(points)
-    for ia, ib in pairs:
-        a, b = omega_prime[ia], omega_prime[ib]
-        before = pbundle.hom_dims(a, b)
-        after = pbundle.hom_dims(images[ia], images[ib])
+    for cj, ck, pj, pk in points:
+        fit = (j0 + (cj + n) * uj + (ck + n) * vj, k0 + (cj + n) * uk + (ck + n) * vk)
+        if (pj, pk) != fit:
+            return _fail(
+                "prop-3-5", n, {"class": (cj, ck), "image": (pj, pk), "affine_fit": fit}
+            )
+    for ia, ib in _witness_pairs(n):
+        (aj, ak, paj, pak), (bj, bk, pbj, pbk) = points[ia], points[ib]
+        before = pbundle.cohomology_coords(n, bj - aj, bk - ak)
+        after = pbundle.cohomology_coords(n, pbj - paj, pbk - pak)
         if before != after:
             return _fail(
                 "prop-3-5", n,
-                {
-                    "a": a.coords(), "b": b.coords(),
-                    "before": before.dims(), "after": after.dims(),
-                },
+                {"a": (aj, ak), "b": (bj, bk), "before": before.dims(), "after": after.dims()},
             )
-    return CheckResult("prop-3-5", n, Status.PASS, {"pairs": len(omega_prime) ** 2})
+    return CheckResult("prop-3-5", n, Status.PASS, {"pairs": len(points) ** 2})
 
 
 def verify_serre_3_6(n):

@@ -17,8 +17,9 @@ import textwrap
 
 import pytest
 
-from flopcalc import pbundle
+from flopcalc import pbundle, verify
 from riemann_roch import check_line_bundle_tables
+from test_verify import check_prop_3_5_controls
 
 
 def mutate(monkeypatch, module, name, old, new):
@@ -60,3 +61,33 @@ def test_unmutated_copy_is_the_engine(monkeypatch):
         for j in range(-3 * n - 3, 2 * n + 3):
             for k in range(-2 * n - 3, 2 * n + 4):
                 assert copy(n, j, k) == engine(n, j, k), (n, j, k)
+
+
+# prop-3-5's fit and pair walk, each caught by the brute force of
+# tests/test_verify.py on psi and its controls
+PROP_3_5_MUTANTS = {
+    "u-v-swapped": ("verify_prop_3_5",
+                    "uj, uk = points[n + 1][2] - j0, points[n + 1][3] - k0\n"
+                    "    vj, vk = points[1][2] - j0, points[1][3] - k0",
+                    "vj, vk = points[n + 1][2] - j0, points[n + 1][3] - k0\n"
+                    "    uj, uk = points[1][2] - j0, points[1][3] - k0"),
+    "after-reads-before": ("verify_prop_3_5",
+                           "after = pbundle.cohomology_coords(n, pbj - paj, pbk - pak)",
+                           "after = pbundle.cohomology_coords(n, bj - aj, bk - ak)"),
+    "witness-pairs-skip-k-edge": ("_witness_pairs",
+                                  "for bk in every if ak == 0 else (0,):",
+                                  "for bk in (0,):"),
+}
+
+
+@pytest.mark.parametrize("name, old, new", PROP_3_5_MUTANTS.values(), ids=PROP_3_5_MUTANTS)
+def test_brute_force_catches_prop_3_5_mutant(monkeypatch, name, old, new):
+    mutate(monkeypatch, verify, name, old, new)
+    with pytest.raises(AssertionError):
+        check_prop_3_5_controls(monkeypatch, 3)
+
+
+def test_unmutated_prop_3_5_passes_the_brute_force(monkeypatch):
+    mutate(monkeypatch, verify, "verify_prop_3_5", "_, _, j0, k0 = points[0]",
+           "_, _, j0, k0 = points[0]")
+    check_prop_3_5_controls(monkeypatch, 3)

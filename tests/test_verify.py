@@ -28,17 +28,37 @@ SHEAR = PicMap(((1, 1), (0, 1)))
 
 def first_failing_pair(n, psi):
     """Brute force: the first pair, in spanning-class order, whose Hom tables
-    psi does not preserve, as prop-3-5 reports it; None if there is none."""
+    psi does not preserve, read as the cohomology of b - a and of
+    psi(b) - psi(a) at their coordinates; None if there is none."""
     classes = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
     for a in classes:
         for b in classes:
-            before = pbundle.hom_dims(a, b)
-            after = pbundle.hom_dims(psi(a), psi(b))
+            pa, pb = psi(a), psi(b)
+            before = pbundle.cohomology_coords(n, b.j - a.j, b.k - a.k)
+            after = pbundle.cohomology_coords(n, pb.j - pa.j, pb.k - pa.k)
             if before != after:
                 return {
                     "a": a.coords(), "b": b.coords(),
                     "before": before.dims(), "after": after.dims(),
                 }
+    return None
+
+
+def first_class_off_fit(n, psi):
+    """Brute force: the first class, in spanning-class order, whose image is
+    off the affine map through the images of the corner (-n, -n) and of its
+    neighbours (-n + 1, -n) and (-n, -n + 1), as prop-3-5 reports it; None
+    if psi is affine on the rectangle."""
+    classes = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
+    corner, along_j, along_k = (
+        psi(XLineBundle(classes[0].variety, j, k)).coords()
+        for j, k in ((-n, -n), (-n + 1, -n), (-n, -n + 1))
+    )
+    for c in classes:
+        s, t = c.j + n, c.k + n
+        fit = tuple(o + s * (a - o) + t * (b - o) for o, a, b in zip(corner, along_j, along_k))
+        if psi(c).coords() != fit:
+            return {"class": c.coords(), "image": psi(c).coords(), "affine_fit": fit}
     return None
 
 
@@ -88,6 +108,34 @@ def moved_psi(moved, offset):
             return image
         return XLineBundle(image.variety, image.j + offset[0], image.k + offset[1])
     return psi
+
+
+def shear(lb):
+    """(j, k) -> (j + k, k): affine, but not psi."""
+    return XLineBundle(apply_psi(lb).variety, lb.j + lb.k, lb.k)
+
+
+def check_prop_3_5(monkeypatch, n, psi):
+    """Assert that prop-3-5, with psi in place of the functor, reports what
+    the brute force finds: the first class off the affine fit, else the
+    first failing pair, else PASS over every pair."""
+    expected = first_class_off_fit(n, psi) or first_failing_pair(n, psi)
+    monkeypatch.setattr(flop, "apply_psi", psi)
+    result = verify.verify_prop_3_5(n)
+    if expected is None:
+        assert (result.status, result.evidence) == (Status.PASS, {"pairs": (n + 1) ** 4})
+    else:
+        assert (result.status, result.evidence) == (Status.FAIL, {"counterexample": expected})
+
+
+def check_prop_3_5_controls(monkeypatch, n):
+    """check_prop_3_5 for psi, the shear, every map of MAPS and psi with
+    each class moved by one step along k."""
+    classes = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
+    controls = [apply_psi, shear, *map(psi_from, MAPS.values())]
+    controls += [moved_psi(c.coords(), (0, 1)) for c in classes]
+    for psi in controls:
+        check_prop_3_5(monkeypatch, n, psi)
 
 
 class TestIndividualSuites:
@@ -184,9 +232,6 @@ class TestIndividualSuites:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_prop_3_5_negative_control_affine(self, monkeypatch, n):
-        def shear(lb):  # (j, k) -> (j + k, k): affine, but not psi
-            return XLineBundle(apply_psi(lb).variety, lb.j + lb.k, lb.k)
-
         expected = first_failing_pair(n, shear)
         monkeypatch.setattr(flop, "apply_psi", shear)
         result = verify_prop_3_5(n)
@@ -195,24 +240,22 @@ class TestIndividualSuites:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_prop_3_5_negative_control_one_class_moved(self, monkeypatch, n):
+        # a psi with one class moved is not affine, so prop-3-5 reports the
+        # first class off the fit; that is the moved class itself unless it
+        # is one of the three classes the fit is read from
         classes = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
         corner = apply_psi(classes[0])
-        for c in classes[1:]:
-            dk = c.k + n
+        fit_classes = {(-n, -n), (-n + 1, -n), (-n, -n + 1)}
+        for c in classes:
             image = apply_psi(c)
-            offsets = {
-                (0, 1),
-                # sends the difference (dj, dk) from the corner class to itself, not
-                # to (dj + dk, -dk), which has the same table: so Hom from the corner
-                # is kept and the first failing pair repeats a difference b - a
-                (-dk, 2 * dk),
-                # moves c onto the corner's image: the first failing pair repeats
-                # the difference psi(b) - psi(a) of the pair (corner, corner)
-                (corner.j - image.j, corner.k - image.k),
-            } - {(0, 0)}
+            # moves along k, along j, and onto the corner's image
+            offsets = {(0, 1), (-1, 0), (corner.j - image.j, corner.k - image.k)} - {(0, 0)}
             for offset in sorted(offsets):
                 psi = moved_psi(c.coords(), offset)
-                expected = first_failing_pair(n, psi)
+                expected = first_class_off_fit(n, psi)
+                assert expected is not None
+                if c.coords() not in fit_classes:
+                    assert expected["class"] == c.coords()
                 monkeypatch.setattr(flop, "apply_psi", psi)
                 result = verify_prop_3_5(n)
                 assert result.status is Status.FAIL
@@ -220,18 +263,23 @@ class TestIndividualSuites:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_prop_3_5_compares_each_difference_once(self, monkeypatch, n):
+        # the tables read are those of each difference (l, m) in the square,
+        # once, and of its psi image (l + m, -m), alternately
         calls = []
-        hom_dims = pbundle.hom_dims
+        cohomology_coords = pbundle.cohomology_coords
 
-        def counting(a, b):
-            calls.append((a, b))
-            return hom_dims(a, b)
+        def counting(n, j, k):
+            calls.append((j, k))
+            return cohomology_coords(n, j, k)
 
-        monkeypatch.setattr(pbundle, "hom_dims", counting)
+        monkeypatch.setattr(pbundle, "cohomology_coords", counting)
         result = verify_prop_3_5(n)
         assert result.status is Status.PASS
         assert result.evidence["pairs"] == (n + 1) ** 4
-        assert 0 < len(calls) <= 2 * (2 * n + 1) ** 2
+        differences, images = calls[0::2], calls[1::2]
+        box = range(-n, n + 1)
+        assert sorted(differences) == [(l, m) for l in box for m in box]
+        assert images == [(l + m, -m) for l, m in differences]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_prop_3_5_witness_pairs_are_first_of_each_difference(self, n):
@@ -257,54 +305,73 @@ class TestIndividualSuites:
     @pytest.mark.parametrize("n", range(2, 6))
     @pytest.mark.parametrize("name", sorted(MAPS))
     def test_prop_3_5_compares_each_key_once(self, monkeypatch, name, n):
-        # with every table equal no pair fails, so each distinct key
-        # (b - a, psi(b) - psi(a)) over all pairs is compared exactly once
+        # an affine map shows one key (b - a, psi(b) - psi(a)) per difference,
+        # and with every table equal no pair fails, so each key is compared
+        # exactly once; a map that is not affine FAILs at the first class off
+        # the fit before any table is read
         psi = psi_from(MAPS[name])
         classes = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
         keys = {((b - a).coords(), (psi(b) - psi(a)).coords()) for a in classes for b in classes}
         calls = []
+        zero = pbundle.cohomology_coords(n, 0, 0)
 
-        def constant(a, b):
-            calls.append((a, b))
-            return pbundle.cohomology_X(XLineBundle(a.variety, 0, 0))
+        def constant(n, j, k):
+            calls.append((j, k))
+            return zero
 
-        monkeypatch.setattr(pbundle, "hom_dims", constant)
+        monkeypatch.setattr(pbundle, "cohomology_coords", constant)
         monkeypatch.setattr(flop, "apply_psi", psi)
-        assert verify_prop_3_5(n).status is Status.PASS
-        assert len(calls) == 2 * len(keys)
+        result = verify_prop_3_5(n)
         assert (len(keys) == (2 * n + 1) ** 2) == (name in AFFINE_MAPS)
+        if name in AFFINE_MAPS:
+            assert result.status is Status.PASS
+            assert len(calls) == 2 * len(keys)
+        else:
+            assert result.status is Status.FAIL
+            assert result.evidence["counterexample"] == first_class_off_fit(n, psi)
+            assert calls == []
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_prop_3_5_one_corrupted_difference(self, monkeypatch, n):
-        hom_dims = pbundle.hom_dims
-        for d0 in [(0, 0), (-n, -n), (n, n), (-n, n), (1, -2), (n - 1, 0)]:
-            def corrupted(a, b, d0=d0):
-                table = hom_dims(a, b)
-                if a.variety.side is Side.X and (b - a).coords() == d0:
+        # the table of d0 is corrupted where either side reads it; psi sends
+        # each difference (l, m) with m != 0 to another one, (l + m, -m), so
+        # the first failing pair shows d0 on one side and not on the other
+        cohomology_coords = pbundle.cohomology_coords
+        for d0 in [(-n, -n), (n, n), (-n, n), (1, -2), (0, 1), (n - 1, 1)]:
+            def corrupted(n, j, k, d0=d0):
+                table = cohomology_coords(n, j, k)
+                if (j, k) == d0:
                     return CohomologyTable.from_dict({**table.dims(), 0: table.get(0) + 1})
                 return table
 
-            monkeypatch.setattr(pbundle, "hom_dims", corrupted)
+            monkeypatch.setattr(pbundle, "cohomology_coords", corrupted)
             expected = first_failing_pair(n, apply_psi)
-            assert (expected["b"][0] - expected["a"][0], expected["b"][1] - expected["a"][1]) == d0
+            (aj, ak), (bj, bk) = expected["a"], expected["b"]
+            assert (bj - aj, bk - ak) in (d0, (d0[0] + d0[1], -d0[1]))
             result = verify_prop_3_5(n)
             assert result.status is Status.FAIL
             assert result.evidence["counterexample"] == expected
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_prop_3_5_call_counts(self, monkeypatch, n):
-        counts = {"hom_dims": 0, "apply_psi": 0}
+        counts = {"hom_dims": 0, "cohomology_coords": 0, "apply_psi": 0}
 
-        def counting(name, fn):
+        def counting(module, name):
+            fn = getattr(module, name)
+
             def wrapped(*args):
                 counts[name] += 1
                 return fn(*args)
-            return wrapped
 
-        monkeypatch.setattr(pbundle, "hom_dims", counting("hom_dims", pbundle.hom_dims))
-        monkeypatch.setattr(flop, "apply_psi", counting("apply_psi", flop.apply_psi))
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting(pbundle, "hom_dims")
+        counting(pbundle, "cohomology_coords")
+        counting(flop, "apply_psi")
         assert verify_prop_3_5(n).status is Status.PASS
-        assert counts == {"hom_dims": 2 * (2 * n + 1) ** 2, "apply_psi": (n + 1) ** 2}
+        assert counts == {
+            "hom_dims": 0, "cohomology_coords": 2 * (2 * n + 1) ** 2, "apply_psi": (n + 1) ** 2
+        }
 
     @pytest.mark.parametrize("n, distinct", [(2, 31), (5, 151)])
     def test_lemma_3_4_computes_each_class_once(self, monkeypatch, n, distinct):
@@ -369,6 +436,14 @@ class TestIndividualSuites:
         result = verify_serre_3_6(n)
         assert result.status is Status.PASS
         assert result.evidence["canonical_class"] == (-n - 1, 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("name", sorted(NON_AFFINE_MAPS))
+    def test_serre_3_6_fails_every_non_affine_map(self, monkeypatch, name, n):
+        # serre-3-6 forces psi(c) = pic(c + omega) - omega+, an affine map, so
+        # prop-3-5 may FAIL a psi off its affine fit without comparing tables
+        monkeypatch.setattr(flop, "apply_psi", psi_from(NON_AFFINE_MAPS[name]))
+        assert verify_serre_3_6(n).status is Status.FAIL
 
     def test_serre_3_6_negative_control(self, monkeypatch):
         # SHEAR fixes the canonical class, so only the psi comparison catches it
