@@ -266,8 +266,12 @@ def exterior_power_theta(p, n):
 
 
 def form_bundle(p, n):
-    """Omega^p on P^n, derived as Wedge^(n-p) Theta tensor O(-n-1)."""
-    return twist(exterior_power_theta(n - p, n), -(n + 1))
+    """Omega^p on P^n, derived as Wedge^(n-p) Theta tensor O(-n-1): the wedge
+    is (1^(n-p), 0^p) at t = -(n-p), and the twist by O(-n-1) adds n + 1 to t,
+    giving t = p + 1."""
+    if not 0 <= n - p <= n:
+        raise ValueError(f"wedge power p={n - p} out of range 0..{n}")
+    return LeviWeight(n, (1,) * (n - p) + (0,) * p, p + 1)
 
 
 def tensor_with_sym(w, a):

