@@ -8,7 +8,7 @@ S_lam(Q) tensored with O(-t).  Anchors for the convention:
 
 >>> bott_cohomology(line_bundle(2, 3)).dims()
 {0: 10}
->>> bott_cohomology(tangent_bundle(2)).dims()
+>>> bott_cohomology(parse_weight("1,0|-1")).dims()   # vector fields on P^2
 {0: 8}
 >>> bott_cohomology(LeviWeight(3, (0, 0, -1), 1)).dims()   # 1-forms on P^3
 {1: 1}
@@ -95,7 +95,7 @@ def read_int(token, invalid, too_long="an integer"):
 def parse_weight(text):
     """Parse a weight literal ``"lam_1,...,lam_n|t"`` into a LeviWeight.
 
-    >>> parse_weight("1,0|-1") == tangent_bundle(2)
+    >>> parse_weight("1,0|-1") == LeviWeight(2, (1, 0), -1)
     True
     """
     shown = shorten(text, repr)
@@ -115,11 +115,6 @@ def structure_sheaf(n):
 def line_bundle(n, k):
     """O(k) on P^n."""
     return LeviWeight(n, (0,) * n, -k)
-
-
-def tangent_bundle(n):
-    """Theta = Q(1) on P^n."""
-    return LeviWeight(n, (1,) + (0,) * (n - 1), -1)
 
 
 class HomogeneousBundle(namedtuple("HomogeneousBundle", "summands")):
@@ -151,10 +146,6 @@ class CohomologyTable(namedtuple("CohomologyTable", "entries")):
 
     def euler(self):
         return sum((-1) ** deg * dim for deg, dim in self.entries)
-
-    def reflect(self, top):
-        """The table read backwards from degree ``top`` (Serre reflection)."""
-        return CohomologyTable.from_dict({top - d: v for d, v in self.entries})
 
 
 EMPTY_TABLE = CohomologyTable(())
@@ -246,16 +237,6 @@ def cohomology_sum(weights):
         for deg, dim in bott_cohomology(w).entries:
             dims[deg] = dims.get(deg, 0) + dim
     return CohomologyTable.from_dict(dims)
-
-
-def twist(w, m):
-    """Tensor with O(m): the twist convention stores O(1) at t = -1."""
-    return LeviWeight(w.n, w.lam, w.t - m)
-
-
-def dual(w):
-    """The dual bundle: reverse and negate lam, negate t."""
-    return LeviWeight(w.n, tuple(-a for a in reversed(w.lam)), -w.t)
 
 
 def exterior_power_theta(p, n):

@@ -10,7 +10,8 @@ computed by pushing forward to the base:
                     for a = 0..j;
   * -n <= j <= -1 : the fibres carry no cohomology, everything vanishes;
   * j <= -n-1     : global Serre duality against the canonical class
-                    (-n-1, 0) reflects back into the first case.
+                    (-n-1, 0) reflects back into the first case; only the
+                    line-bundle tables take this branch.
 
 For the twisting weight w = (lam, t), the Pieri summands of
 Sym^a Theta (x) w are (mu, t - a) with mu a horizontal strip of size a over
@@ -19,8 +20,8 @@ t - a): the summand's cohomology sits in the degree that counts the entries
 of beta_0..beta_{n-1} below t - a, or nowhere when t - a equals one of them.
 On the base, Sym^a of the Euler sequence 0 -> O -> V(1) -> Theta -> 0,
 V = C^{n+1}, is 0 -> S^{a-1}V (x) w(a-1) -> S^a V (x) w(a) -> Sym^a Theta (x) w
--> 0, with w(a) = twist(w, a), so the Euler characteristics over
-a = first..last sum to
+-> 0, with w(a) = (lam, t - a) the weight of w (x) O(a), so the Euler
+characteristics over a = first..last sum to
 C(n + last, n) chi(w(last)) - C(n + first - 1, n) chi(w(first - 1)).
 
 cohomology_X, the line-bundle case w = O(k), sums over a in closed form and
@@ -69,7 +70,6 @@ from .bwb import (
     EMPTY_TABLE,
     CohomologyTable,
     cohomology_sum,
-    dual,
     form_bundle,
     shorten,
     tensor_with_sym,
@@ -158,16 +158,6 @@ class XLineBundle:
     def __reduce__(self):
         return type(self), (self.variety, self.j, self.k)
 
-    def _require_same(self, other):
-        if self.variety != other.variety:
-            raise ValueError(
-                f"classes live on different varieties: {self.variety} vs {other.variety}"
-            )
-
-    def __sub__(self, other):
-        self._require_same(other)
-        return XLineBundle(self.variety, self.j - other.j, self.k - other.k)
-
     def coords(self):
         return (self.j, self.k)
 
@@ -219,19 +209,21 @@ def cohomology_X(lb):
 
 
 def cohomology_with_pullback_twist(j, w):
-    """h^i(X, O_X(j) (x) pi^* F), X the model over the base of w, for F of
-    Levi weight w, by the three branches of the module docstring (F-dual in
-    the Serre branch).  The cost is one Pieri decomposition per step a that
-    is not skipped, so it grows with |j|; the product never asks for j > n:
+    """h^i(X, O_X(j) (x) pi^* F) for j >= -n, X the model over the base P^n
+    of w, for F of Levi weight w, by the first two branches of the module
+    docstring; j <= -n-1 is a ValueError.  The cost is one Pieri
+    decomposition per step a that is not skipped, so it grows with j; the
+    product never asks for j > n:
 
     >>> cohomology_with_pullback_twist(2, form_bundle(2, 3)).dims()
     {1: 1, 2: 1}
     """
     n = ModelVariety(w.n).n  # the model needs n >= 2
-    if -n <= j <= -1:
-        return EMPTY_TABLE
     if j < 0:
-        return cohomology_with_pullback_twist(-n - 1 - j, dual(w)).reflect(2 * n)
+        if j < -n:
+            raise ValueError(f"the general pushforward needs j >= -n = {-n}, "
+                             f"got j={shorten(str(j))}")
+        return EMPTY_TABLE
     # the steps where t - a meets a fixed row of beta carry nothing
     dead = {w.t - w.lam[i] - n + i for i in range(1, n) if w.lam[i] == w.lam[i - 1]}
     return cohomology_sum(s for a in range(j + 1) if a not in dead
@@ -240,7 +232,7 @@ def cohomology_with_pullback_twist(j, w):
 
 def hom_dims(a, b):
     """Hom^i(a, b) of line-bundle classes: the cohomology of b - a, read at
-    its coordinates without building it; raises as b - a does."""
-    if a.variety is not b.variety:
-        b._require_same(a)
+    its coordinates; classes on different varieties are a ValueError."""
+    if a.variety is not b.variety and a.variety != b.variety:
+        raise ValueError(f"classes live on different varieties: {b.variety} vs {a.variety}")
     return _cohomology_coords(a.variety.n, b.j - a.j, b.k - a.k)

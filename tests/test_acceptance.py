@@ -10,18 +10,13 @@ from itertools import product
 
 import pytest
 
+from bundle_ops import tangent_bundle, twist
 from cech_oracle import (
     form_twist_cohomology,
     line_bundle_cohomology,
     tangent_twist_cohomology,
 )
-from flopcalc.bwb import (
-    bott_cohomology,
-    form_bundle,
-    line_bundle,
-    tangent_bundle,
-    twist,
-)
+from flopcalc.bwb import bott_cohomology, form_bundle, line_bundle
 from flopcalc.flop import SpanningClass, apply_phi, apply_phi_prime, apply_psi, \
     enumerate_spanning_class, phi_pullback
 from flopcalc.homalg import (

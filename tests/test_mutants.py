@@ -17,6 +17,7 @@ import textwrap
 
 import pytest
 
+import test_pbundle
 from flopcalc import pbundle, verify
 from riemann_roch import check_line_bundle_tables
 from test_verify import check_prop_3_5_controls
@@ -61,6 +62,35 @@ def test_unmutated_copy_is_the_engine(monkeypatch):
         for j in range(-3 * n - 3, 2 * n + 3):
             for k in range(-2 * n - 3, 2 * n + 4):
                 assert copy(n, j, k) == engine(n, j, k), (n, j, k)
+
+
+# the Serre branch of pbundle._cohomology_coords, each caught by the direct
+# loop, which the tests continue below the band by reflecting the partner's
+# table themselves; chi cannot see the second, as it keeps each parity
+SERRE_MUTANTS = {
+    "reversed-dropped": ("for d, v in reversed(partner)", "for d, v in partner"),
+    "degree-moved-by-2": ("(2 * n - d, v)", "(2 * n - 2 - d, v)"),
+}
+
+
+def check_line_bundles_against_the_direct_loop():
+    for n in (2, 3, 4, 5):
+        test_pbundle.TestClosedFormMatchesLoop().test_line_bundles(n)
+
+
+@pytest.mark.parametrize("old, new", SERRE_MUTANTS.values(), ids=SERRE_MUTANTS)
+def test_direct_loop_catches_serre_mutant(monkeypatch, old, new):
+    mutate(monkeypatch, pbundle, "_cohomology_coords", old, new)
+    with pytest.raises(AssertionError):
+        check_line_bundles_against_the_direct_loop()
+
+
+def test_unmutated_serre_branch_passes_the_direct_loop(monkeypatch):
+    engine = pbundle._cohomology_coords
+    copy = mutate(monkeypatch, pbundle, "_cohomology_coords", "for d, v in reversed(partner)",
+                  "for d, v in reversed(partner)")
+    assert copy is not engine
+    check_line_bundles_against_the_direct_loop()
 
 
 # prop-3-5's fit and pair walk, each caught by the brute force of

@@ -18,7 +18,8 @@ from cech_oracle import (
     matrix_rank,
     tangent_twist_cohomology,
 )
-from flopcalc.bwb import bott_cohomology, form_bundle, line_bundle, tangent_bundle, twist
+from bundle_ops import tangent_bundle, twist
+from flopcalc.bwb import bott_cohomology, form_bundle, line_bundle
 
 
 class TestOracleSelfChecks:

@@ -311,7 +311,8 @@ class TestIndividualSuites:
         # the fit before any table is read
         psi = psi_from(MAPS[name])
         classes = flop.enumerate_spanning_class(n, flop.SpanningClass.OMEGA_PRIME)
-        keys = {((b - a).coords(), (psi(b) - psi(a)).coords()) for a in classes for b in classes}
+        keys = {((b.j - a.j, b.k - a.k), (psi(b).j - psi(a).j, psi(b).k - psi(a).k))
+                for a in classes for b in classes}
         calls = []
         zero = pbundle.cohomology_coords(n, 0, 0)
 
